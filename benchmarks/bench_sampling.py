@@ -18,8 +18,7 @@ numpy backend itself — preallocated :class:`~repro.lineage.packed.SampleArena`
 buffers vs fresh allocations, float32 vs float64 uniform draws — and
 the full run asserts the shipping configuration is **≥1.3×** the
 karp-luby/numpy rate recorded before the kernel work landed
-(``PREVIOUS_KARP_LUBY_RATE``).  When numba is installed the jitted
-backend gets its own throughput rows as well.
+(``PREVIOUS_KARP_LUBY_RATE``).
 
 Runs standalone for the CI smoke: ``python benchmarks/bench_sampling.py
 --smoke`` (tiny sample counts, correctness cross-check only, no timing
@@ -35,7 +34,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.engines._native import HAVE_NUMBA
 from repro.engines.montecarlo import (
     KarpLubySampler,
     _batches,
@@ -105,12 +103,8 @@ def measure(lineage, samples_by_backend, repeats=3):
     backends = ["python"]
     if HAVE_NUMPY:
         backends.append("numpy")
-    if HAVE_NUMBA:
-        backends.append("numba")
     for backend in backends:
-        samples = samples_by_backend.get(
-            backend, samples_by_backend["numpy"]
-        )
+        samples = samples_by_backend[backend]
 
         def run_karp_luby(attempt):
             sampler = KarpLubySampler(
@@ -138,10 +132,6 @@ def measure(lineage, samples_by_backend, repeats=3):
         if (estimator, "numpy") in rates:
             speedups[estimator] = round(
                 rates[(estimator, "numpy")] / rates[(estimator, "python")], 2
-            )
-        if (estimator, "numba") in rates:
-            speedups[f"{estimator}-numba"] = round(
-                rates[(estimator, "numba")] / rates[(estimator, "python")], 2
             )
     return rows, speedups
 
@@ -341,7 +331,6 @@ def main(argv=None):
         "benchmark": "sampling",
         "smoke": args.smoke,
         "numpy": HAVE_NUMPY,
-        "numba": HAVE_NUMBA,
         "default_backend": resolve_backend("auto"),
         "lineage": {
             "clauses": lineage.clause_count(),

@@ -26,16 +26,6 @@ Every response from both configurations is compared against a fresh
 deterministic workload — agreement to 1e-9 is asserted always, also
 in smoke mode.
 
-A second section sweeps Monte Carlo *scatter*: spikes of unsafe
-lineages estimated through :meth:`ServerPool.estimate_lineages` under
-three configurations — ``workers=0`` inline, the 4-worker pool with
-the adaptive scatter policy (the serving default), and forced
-scatter.  All three must agree to 1e-9, and the adaptive pool must be
-no slower than inline at the sweep's largest point (the regression
-gate, asserted in smoke mode too): on a single-core host the policy
-earns this by choosing the front's inline fast path, on a multi-core
-host by scattering across real CPUs.
-
 Two robustness sections ride along (PR 8).  **Overload**: a
 :class:`~repro.serve.server.BackgroundServer` with a small
 ``max_inflight`` cap is offered 2x its admitted capacity by closed-loop
@@ -50,8 +40,8 @@ and every accepted answer agreeing with the fresh router to 1e-9.
 
 Emits ``BENCH_server.json``.  CI smoke: ``python
 benchmarks/bench_server.py --smoke`` (tiny sizes, correctness +
-scatter-gate + chaos/overload assertions, no throughput timing
-assertions; still writes the JSON).
+chaos/overload assertions, no throughput timing assertions; still
+writes the JSON).
 """
 
 import argparse
@@ -68,7 +58,6 @@ from pathlib import Path
 from repro.core import parse
 from repro.db import ProbabilisticDatabase, random_database
 from repro.engines import RouterEngine
-from repro.lineage.grounding import ground_lineage
 from repro.serve import (
     BackgroundServer,
     PoolOverloadError,
@@ -243,108 +232,6 @@ def bench_throughput(n_shapes, domain, rounds, max_prepared):
             "speedup is driven by shape-sharded cache locality "
             "(aggregate LRU capacity), not core count; CPU parallelism "
             "adds on top on multi-core hosts"
-        ),
-    }
-
-
-def _agreement(base, other):
-    worst = 0.0
-    assert base.keys() == other.keys(), "estimate keys diverged"
-    for key, (estimate, half_width) in base.items():
-        got_estimate, got_half = other[key]
-        worst = max(worst, abs(estimate - got_estimate),
-                    abs(half_width - got_half))
-    return worst
-
-
-def bench_mc_scatter(domain, n_lineages, samples_sweep, repeats):
-    """Unsafe-lineage spike: the pool front vs ``workers=0`` inline.
-
-    Three long-lived pools replay the same estimate over a sweep of
-    per-lineage sample counts:
-
-    * ``inline`` — ``workers=0``, the session's own engine;
-    * ``4_workers`` — the adaptive policy decides per call (this is the
-      serving configuration, and the pair the regression gate reads);
-    * ``forced_scatter`` — ``scatter_policy="always"``, pinning the
-      worker-protocol cost now that caches make the steady state ship
-      no structure (informational: on a single-core host scattering
-      buys no compute, so this row mostly measures dispatch overhead).
-
-    Every pool gets a small warm-up call first (worker start, lineage
-    caches, EWMA seeding) and each point is the best of ``repeats``
-    timed calls.  All modes must agree with inline to 1e-9 — the
-    scatter paths are bit-identical, not approximately equal.
-    """
-    db = build_db(n_lineages, domain)
-    config = SessionConfig(mc_seed=7)
-    lineages = {
-        i: ground_lineage(parse(BOOLEAN_SHAPE.format(i=i)), db)
-        for i in range(n_lineages)
-    }
-    modes = [
-        ("inline", dict(workers=0)),
-        ("4_workers", dict(workers=4)),
-        ("forced_scatter", dict(workers=4, scatter_policy="always")),
-    ]
-    pools, points, worst = {}, [], 0.0
-    try:
-        for label, kwargs in modes:
-            pool = ServerPool(
-                db.copy(), config=config, request_timeout=600, **kwargs
-            )
-            pools[label] = pool
-            pool.estimate_lineages(lineages, samples=200)
-        for samples in samples_sweep:
-            row = {"samples_per_lineage": samples}
-            baseline = None
-            for label, _kwargs in modes:
-                pool = pools[label]
-                best, estimates = float("inf"), None
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    estimates = pool.estimate_lineages(
-                        lineages, samples=samples
-                    )
-                    best = min(best, time.perf_counter() - start)
-                row[f"seconds_{label}"] = round(best, 6)
-                if label == "inline":
-                    baseline = estimates
-                else:
-                    worst = max(worst, _agreement(baseline, estimates))
-                    decision = pool.last_scatter_decision
-                    row[f"choice_{label}"] = (
-                        decision["choice"] if decision else None
-                    )
-            points.append(row)
-    finally:
-        for pool in pools.values():
-            pool.close()
-    largest = points[-1]
-    return {
-        "n_lineages": n_lineages,
-        "samples_sweep": list(samples_sweep),
-        "repeats": repeats,
-        "sweep": points,
-        # The regression gate reads the largest point: the serving
-        # configuration (adaptive, 4 workers) must not lose to inline.
-        "samples_per_lineage": largest["samples_per_lineage"],
-        "seconds_inline": largest["seconds_inline"],
-        "seconds_4_workers": largest["seconds_4_workers"],
-        "seconds_forced_scatter": largest["seconds_forced_scatter"],
-        "scatter_vs_inline": round(
-            largest["seconds_inline"] / largest["seconds_4_workers"], 4
-        ),
-        "forced_scatter_vs_inline": round(
-            largest["seconds_inline"] / largest["seconds_forced_scatter"], 4
-        ),
-        "max_abs_diff_vs_inline": worst,
-        "sample_estimate": baseline[0][0],
-        "note": (
-            "4_workers runs the adaptive policy (the serving default): "
-            "it scatters only when estimated compute clears dispatch "
-            "overhead, so small batches take the front's inline fast "
-            "path; forced_scatter pins the cached worker-protocol cost"
         ),
     }
 
@@ -550,12 +437,10 @@ def main(argv=None):
 
     if args.smoke:
         n_shapes, domain, rounds, max_prepared = 6, 5, 2, 2
-        mc_lineages, mc_sweep, mc_repeats = 3, (500, 2_000), 2
         overload_cap, overload_clients, overload_requests = 2, 4, 40
         chaos_rounds, kill_every = 15, 40     # ~120 requests, ~3 kills
     else:
         n_shapes, domain, rounds, max_prepared = 32, 18, 6, 12
-        mc_lineages, mc_sweep, mc_repeats = 8, (5_000, 20_000, 80_000), 5
         overload_cap, overload_clients, overload_requests = 4, 8, 200
         chaos_rounds, kill_every = 25, 50     # ~1000 requests, ~20 kills
     rounds = args.rounds if args.rounds is not None else rounds
@@ -570,22 +455,6 @@ def main(argv=None):
         f"({throughput['throughput_4_workers']:.0f} req/s) "
         f"-> {throughput['speedup']:.1f}x "
         f"(max |diff| {max(throughput['max_abs_diff_1'], throughput['max_abs_diff_4']):.2e})"
-    )
-
-    scatter = bench_mc_scatter(5, mc_lineages, mc_sweep, mc_repeats)
-    for point in scatter["sweep"]:
-        print(
-            f"mc scatter ({scatter['n_lineages']} lineages x "
-            f"{point['samples_per_lineage']} samples): "
-            f"inline {point['seconds_inline']:.4f}s, "
-            f"4 workers {point['seconds_4_workers']:.4f}s "
-            f"[{point['choice_4_workers']}], "
-            f"forced scatter {point['seconds_forced_scatter']:.4f}s"
-        )
-    print(
-        f"mc scatter largest point: adaptive pool "
-        f"{scatter['scatter_vs_inline']:.2f}x inline, "
-        f"max |diff| {scatter['max_abs_diff_vs_inline']:.2e}"
     )
 
     overload = bench_overload(
@@ -615,7 +484,6 @@ def main(argv=None):
         "benchmark": "server",
         "smoke": args.smoke,
         "throughput": throughput,
-        "mc_scatter": scatter,
         "overload": overload,
         "chaos_replay": chaos,
     }
@@ -627,15 +495,6 @@ def main(argv=None):
     )
     assert throughput["max_abs_diff_4"] <= 1e-9, (
         f"4-worker responses disagree: {throughput['max_abs_diff_4']}"
-    )
-    assert scatter["max_abs_diff_vs_inline"] <= 1e-9, (
-        f"scatter estimates disagree: {scatter['max_abs_diff_vs_inline']}"
-    )
-    # The regression gate this sweep exists for: at the largest point
-    # the serving configuration must not lose to bypassing the pool.
-    assert scatter["seconds_4_workers"] <= scatter["seconds_inline"], (
-        f"pool estimate slower than inline at the largest point: "
-        f"{scatter['seconds_4_workers']}s vs {scatter['seconds_inline']}s"
     )
     # Overload: only 200s and honest 503s, answers unchanged, sheds
     # carry Retry-After, and the shed path never queues behind work.

@@ -72,6 +72,7 @@ from .core.parser import QueryParseError, parse
 from .db.database import ProbabilisticDatabase
 from .db.io import DatabaseFormatError, load_database
 from .engines import RouterEngine
+from .lineage.planner import GroundingError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,14 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="circuit node budget for the compiled tier (default 10000)",
     )
     p_serve.add_argument(
-        "--scatter-policy", choices=("adaptive", "always", "never"),
-        default="adaptive",
-        help="HTTP mode only: when Monte Carlo lineage batches ship to "
-             "worker processes — 'adaptive' uses a measured cost model, "
-             "'always'/'never' force scatter or front-inline (default "
-             "adaptive)",
-    )
-    p_serve.add_argument(
         "--request-timeout", type=float, default=None, metavar="SECONDS",
         help="HTTP mode only: default per-request deadline; expired "
              "requests are purged and return 504 (clients override "
@@ -327,7 +320,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         if args.command == "stats":
             return _run_stats(args)
-    except (DatabaseFormatError, QueryParseError, OSError) as error:
+    except (DatabaseFormatError, QueryParseError, GroundingError,
+            OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
@@ -528,7 +522,6 @@ def _run_serve_http(args, db) -> int:
             compile_budget=args.compile_budget,
             faults=args.faults,
         ),
-        scatter_policy=args.scatter_policy,
         request_timeout=args.request_timeout,
         request_retries=args.retries,
         max_queue_depth=args.max_queue_depth,

@@ -13,7 +13,7 @@ The paper's introduction motivates the dichotomy with exactly this
 trade-off: safe plans answer in seconds, simulation in minutes — one
 to two orders of magnitude apart for comparable accuracy.
 
-The estimators come in three backends:
+The estimators come in two backends:
 
 * ``"numpy"`` — the vectorized core: worlds are columns of an
   ``(n_events, batch)`` bit matrix over the
@@ -23,16 +23,11 @@ The estimators come in three backends:
   The hot loop reuses a preallocated
   :class:`~repro.lineage.packed.SampleArena`, so repeated
   ``extend()`` calls allocate nothing per batch;
-* ``"numba"`` — the numpy draw pipeline feeding a jitted scalar
-  coverage kernel (:mod:`repro.engines._native`) that breaks at the
-  first satisfied clause instead of evaluating the whole clause
-  matrix; available only when numba is installed, and draw-for-draw
-  identical to the numpy backend at a fixed seed;
 * ``"python"`` — the original scalar loops, kept as the correctness
   oracle and as the fallback when numpy is unavailable.
 
-``backend="auto"`` (the default everywhere) picks the fastest
-available: numba, then numpy, then python.
+``backend="auto"`` (the default everywhere) picks numpy when it is
+installed, python otherwise.
 
 For answer-tuple queries, :meth:`MonteCarloEngine.answers` runs a
 *multisimulation*: one incremental Karp–Luby sampler per answer, with
@@ -60,14 +55,9 @@ from ..lineage.grounding import ground_answer_lineages, ground_lineage
 from ..lineage.packed import PackedLineage, SampleArena, clause_sort_key
 from ..lineage.planner import GroundingPlanner
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
-from ._native import HAVE_NUMBA, kl_coverage_hits
 from .base import Answer, Engine, clamp01, rank_answers
 
-BACKENDS = ("auto", "numba", "numpy", "python")
-
-#: Backends driven by the packed numpy draw pipeline (as opposed to
-#: the scalar python loops).
-VECTOR_BACKENDS = ("numba", "numpy")
+BACKENDS = ("auto", "numpy", "python")
 
 #: Cap on elements per numpy intermediate (~bytes, matrices are bool):
 #: keeps the world/satisfaction matrices cache-friendly and bounds
@@ -78,19 +68,13 @@ _BATCH_ELEMENTS = 1 << 22
 def resolve_backend(backend: str) -> str:
     """Normalize a backend name, validating availability."""
     if backend == "auto":
-        if np is None:
-            return "python"
-        return "numba" if HAVE_NUMBA else "numpy"
-    if backend not in ("numba", "numpy", "python"):
+        return "python" if np is None else "numpy"
+    if backend not in BACKENDS:
         raise ValueError(
             f"unknown sampling backend {backend!r}; expected one of {BACKENDS}"
         )
-    if backend in VECTOR_BACKENDS and np is None:
-        raise RuntimeError(
-            f"{backend} backend requested but numpy is unavailable"
-        )
-    if backend == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
+    if backend == "numpy" and np is None:
+        raise RuntimeError("numpy backend requested but numpy is unavailable")
     return backend
 
 
@@ -219,56 +203,6 @@ class MonteCarloEngine(Engine):
         if not (lineage.certainly_true or lineage.is_false):
             self._record_run(self.samples, half_width)
         return estimate, half_width
-
-    def estimate_packed(
-        self, packed: PackedLineage, arena: Optional[SampleArena] = None
-    ) -> Tuple[float, float]:
-        """:meth:`estimate_lineage` for an already-packed lineage.
-
-        The scatter worker's entry point: the pool front ships
-        :meth:`~repro.lineage.packed.PackedLineage.to_buffers` arrays
-        and the worker estimates straight from the reconstructed packed
-        form, never materializing a scalar :class:`Lineage`.  Results
-        are bit-identical to :meth:`estimate_lineage` on the source
-        lineage at the same seed (vectorized backends only — the packed
-        form has no scalar clause view).  ``arena`` optionally reuses
-        one caller-held :class:`SampleArena` across a batch of calls.
-        """
-        estimate, half_width = estimate_packed(
-            packed, self.samples, self.seed, self.backend, arena
-        )
-        if packed.n_clauses and packed.total > 0.0:
-            self._record_run(self.samples, half_width)
-        return estimate, half_width
-
-    def estimate_lineages(
-        self,
-        lineages: Dict[GroundTuple, Lineage],
-        parallel_map=None,
-    ) -> Dict[GroundTuple, Tuple[float, float]]:
-        """Batch :meth:`estimate_lineage`: ``{key: (estimate, half-width)}``.
-
-        Each lineage is estimated independently with the engine's own
-        seed, so results are deterministic per lineage and independent
-        of batch composition or ordering.  ``parallel_map`` substitutes
-        the mapping strategy: any :func:`map`-compatible callable
-        (``mapper(fn, items) -> iterable``), e.g. a thread pool's
-        ``Executor.map``; the default is a serial loop in this
-        process.  The *process-level* counterpart is
-        :meth:`repro.serve.pool.ServerPool.estimate_lineages`, which
-        scatters a lineage batch across pool workers (each shard
-        reusing its own vectorized numpy backend) rather than mapping
-        in-process.
-        """
-        items = list(lineages.items())
-        mapper = parallel_map if parallel_map is not None else map
-        estimates = mapper(
-            lambda item: self.estimate_lineage(item[1]), items
-        )
-        return {
-            key: estimate
-            for (key, _lineage), estimate in zip(items, estimates)
-        }
 
     def answers(
         self,
@@ -399,7 +333,7 @@ def naive_estimate(
     backend: str = "auto",
 ) -> float:
     """Fraction of sampled worlds satisfying the DNF."""
-    if resolve_backend(backend) in VECTOR_BACKENDS:
+    if resolve_backend(backend) == "numpy":
         return _naive_estimate_numpy(lineage, samples, rng)
     return _naive_estimate_python(lineage, samples, rng)
 
@@ -470,18 +404,13 @@ class KarpLubySampler:
     from the binomial CLT (the indicator variable is Bernoulli with
     mean ``p / M``).
 
-    With the vectorized backends, :meth:`extend` is fully batched: one
+    With the numpy backend, :meth:`extend` is fully batched: one
     weighted ``choice`` over the packed clause distribution picks all
     trial clauses, one uniform matrix draws all worlds, and coverage
-    for the whole batch is one matrix pass (numpy: vectorized
-    force-scatter + padded-gather fold; numba: a jitted scalar scan
-    that breaks at the first satisfied clause).  Batch buffers live in
-    a per-sampler :class:`~repro.lineage.packed.SampleArena`, so the
-    ``extend`` loop reuses one allocation across batches.
-
-    A sampler may also be built from a bare
-    :class:`~repro.lineage.packed.PackedLineage` (vectorized backends
-    only) — the scatter workers' path, where no scalar lineage exists.
+    for the whole batch is one matrix pass (forced clause literals +
+    padded-gather fold).  Batch buffers live in a per-sampler
+    :class:`~repro.lineage.packed.SampleArena`, so the ``extend`` loop
+    reuses one allocation across batches.
     """
 
     __slots__ = (
@@ -496,12 +425,11 @@ class KarpLubySampler:
         "packed",
         "arena",
         "_np_rng",
-        "_forced",
     )
 
     def __init__(
         self,
-        lineage,
+        lineage: Lineage,
         rng: random.Random,
         backend: str = "auto",
     ) -> None:
@@ -509,22 +437,13 @@ class KarpLubySampler:
         self.backend = resolve_backend(backend)
         self.hits = 0
         self.drawn = 0
-        if self.backend in VECTOR_BACKENDS:
-            self.packed = (
-                lineage if isinstance(lineage, PackedLineage)
-                else PackedLineage.of(lineage)
-            )
+        if self.backend == "numpy":
+            self.packed = PackedLineage.of(lineage)
             self.total = self.packed.total
             self.arena = SampleArena()
-            self._forced = None  # numba scratch, allocated on first use
             # Derived from the scalar rng so one seed fixes the run.
             self._np_rng = np.random.default_rng(rng.randrange(2**63))
             return
-        if isinstance(lineage, PackedLineage):
-            raise ValueError(
-                "packed lineages require a vectorized backend, "
-                f"got {self.backend!r}"
-            )
         self.weights = lineage.weights
         self.clauses: List[Clause] = sorted(lineage.clauses, key=clause_sort_key)
         probs = [_clause_probability(c, self.weights) for c in self.clauses]
@@ -540,9 +459,7 @@ class KarpLubySampler:
         if self.total == 0.0:
             self.drawn += samples
             return
-        if self.backend == "numba":
-            self._extend_numba(samples)
-        elif self.backend == "numpy":
+        if self.backend == "numpy":
             self._extend_numpy(samples)
         else:
             self._extend_python(samples)
@@ -569,35 +486,6 @@ class KarpLubySampler:
         for batch in _batches(samples, packed.batch_cost):
             chosen, worlds = self._draw_batch(batch, arena)
             self.hits += packed.coverage_hits(worlds, chosen, arena)
-
-    def _extend_numba(self, samples: int) -> None:
-        """The jitted path: numpy draws, scalar jitted coverage scan.
-
-        Consumes the generator stream *exactly* like the numpy path
-        (clause ids, then the full uniform matrix), so hit counts are
-        bit-identical across the two backends at a fixed seed — the
-        kernel reads the same uniforms the numpy path would compare.
-        """
-        packed = self.packed
-        if self._forced is None:
-            self._forced = np.full(packed.n_events, -1, dtype=np.int8)
-        polarities = packed.literal_polarities.view(np.int8)
-        for batch in _batches(samples, packed.batch_cost):
-            chosen = packed.sample_clauses(self._np_rng, batch)
-            uniforms = self._np_rng.random(
-                (packed.n_events, batch), dtype=np.float32
-            )
-            self.hits += int(
-                kl_coverage_hits(
-                    packed.clause_starts,
-                    packed.literal_events,
-                    polarities,
-                    packed.weights_f32,
-                    chosen,
-                    uniforms,
-                    self._forced,
-                )
-            )
 
     def _draw_batch(self, batch: int, arena: Optional[SampleArena] = None):
         """One batch of (chosen clause ids, forced world matrix).
@@ -668,37 +556,6 @@ def estimate_lineage(
     sampler = KarpLubySampler(lineage, random.Random(seed), backend)
     if sampler.total == 0.0:
         return 0.0, 0.0
-    sampler.extend(samples)
-    estimate, half_width = sampler.interval()
-    return clamp01(estimate), half_width
-
-
-def estimate_packed(
-    packed: PackedLineage,
-    samples: int,
-    seed: Optional[int] = None,
-    backend: str = "auto",
-    arena: Optional[SampleArena] = None,
-) -> Tuple[float, float]:
-    """:func:`estimate_lineage` over a :class:`PackedLineage` directly.
-
-    Bit-identical to :func:`estimate_lineage` on the lineage the packed
-    form came from (same seed, same backend): the sampler seeds its
-    numpy generator from ``random.Random(seed)`` exactly the way the
-    lineage path does.  Only vectorized backends apply — a packed
-    lineage carries no scalar clause view for the python oracle.
-    """
-    resolved = resolve_backend(backend)
-    if resolved not in VECTOR_BACKENDS:
-        raise ValueError(
-            "packed lineages require a vectorized backend, "
-            f"got {resolved!r}"
-        )
-    if packed.n_clauses == 0 or packed.total == 0.0:
-        return 0.0, 0.0
-    sampler = KarpLubySampler(packed, random.Random(seed), resolved)
-    if arena is not None:
-        sampler.arena = arena
     sampler.extend(samples)
     estimate, half_width = sampler.interval()
     return clamp01(estimate), half_width

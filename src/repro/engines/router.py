@@ -28,7 +28,7 @@ from ..compile.cache import CircuitCache
 from ..core.union import AnyQuery, UnionQuery
 from ..db.database import GroundTuple, ProbabilisticDatabase
 from ..lineage.boolean import Lineage
-from ..lineage.grounding import ground_answer_lineages
+from ..lineage.grounding import check_arities, ground_answer_lineages
 from ..lineage.planner import GroundingPlanner
 from ..lineage.wmc import exact_probability
 from ..obs.metrics import MetricsRegistry
@@ -312,6 +312,7 @@ class RouterEngine(Engine):
     def probability(
         self, query: AnyQuery, db: ProbabilisticDatabase
     ) -> float:
+        check_arities(query, db)
         start = time.perf_counter()
         engine, value, safe, reason, interval = self._route(query, db)
         elapsed = time.perf_counter() - start
@@ -347,6 +348,7 @@ class RouterEngine(Engine):
             value = self.probability(query, db)
             self.history[-1].answer = ()
             return rank_answers([((), value)], k)
+        check_arities(query, db)
         rows = self._route_answers(query, db, k)
         ranked = rank_answers([(answer, p) for answer, p, *_ in rows], k)
         kept = {answer for answer, _ in ranked}

@@ -141,6 +141,29 @@ def _cq_holds(
         planner.observe_candidates(counter[0], resolved.mode)
 
 
+def check_arities(query: AnyQuery, db: ProbabilisticDatabase) -> None:
+    """Reject an atom whose arity differs from its stored relation's.
+
+    Runs before any engine sees the query: without it a too-wide atom
+    indexes past the end of the stored rows and a too-narrow one
+    silently matches nothing.  A relation absent from ``db`` reads as
+    empty whatever the atom's arity.
+
+    Raises:
+        GroundingError: naming the relation, its arity and the atom's.
+    """
+    for disjunct in disjuncts_of(query):
+        for atom in disjunct.atoms:
+            if not db.has_relation(atom.relation):
+                continue
+            arity = db.relation(atom.relation).arity
+            if arity is not None and arity != atom.arity:
+                raise GroundingError(
+                    f"relation {atom.relation} has arity {arity}, but "
+                    f"atom {atom} has arity {atom.arity}"
+                )
+
+
 def ground_lineage(
     query: AnyQuery,
     db: ProbabilisticDatabase,

@@ -25,30 +25,15 @@ matrix vectorizes across the batch, where the batch-major equivalent
 (or ``ufunc.reduceat`` over ragged segments) is an order of magnitude
 slower.
 
-Two further layers serve the scatter/serving hot path:
-
-* **Flat buffers** — :meth:`PackedLineage.to_buffers` /
-  :meth:`PackedLineage.from_buffers` round-trip the whole structure
-  through four flat arrays (int32 CSR + uint8 polarities + float64
-  weights), the wire format :mod:`repro.serve.transfer` ships through
-  ``multiprocessing.shared_memory`` so worker processes rebuild a
-  sampler without re-interning or re-grounding anything.  A
-  reconstructed instance is *detached*: its ``events`` are dense ids,
-  not tuple keys, which is all the samplers need.
-  :meth:`reweight` swaps the marginals in place (the serving
-  "probability drifted, structure didn't" refresh), and
-  :meth:`shape_hash` / :meth:`weight_hash` key the worker-side lineage
-  cache.
-
-* **Arenas** — :class:`SampleArena` holds the per-batch world and
-  scratch matrices so repeated :meth:`sample_worlds` /
-  :meth:`clause_satisfaction` calls (the Karp–Luby ``extend`` loop)
-  reuse one allocation instead of mallocing multi-megabyte
-  intermediates per batch.  The arena variant also folds clause
-  satisfaction column-by-column (one ``(n_clauses, batch)`` gather per
-  literal position) instead of materializing the full
-  ``(n_literals, batch)`` gather, keeping the working set
-  cache-resident.  Both variants are bit-for-bit identical.
+A :class:`SampleArena` holds the per-batch world and scratch matrices
+so repeated :meth:`~PackedLineage.sample_worlds` /
+:meth:`~PackedLineage.clause_satisfaction` calls (the Karp–Luby
+``extend`` loop) reuse one allocation instead of mallocing
+multi-megabyte intermediates per batch.  The arena variant also folds
+clause satisfaction column-by-column (one ``(n_clauses, batch)``
+gather per literal position) instead of materializing the full
+``(n_literals, batch)`` gather, keeping the working set
+cache-resident.  Both variants are bit-for-bit identical.
 
 The packed form is built lazily and cached on the lineage, so repeated
 estimator calls (the multisimulation top-k loop) pay the interning
@@ -59,7 +44,6 @@ scalar backend.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - exercised by whichever env runs the suite
@@ -71,17 +55,6 @@ from ..db.database import TupleKey
 from .boolean import Clause, Lineage
 
 HAVE_NUMPY = np is not None
-
-#: Canonical dtypes of the flat-buffer wire format, in serialization
-#: order.  ``clause_starts`` travels as int32 (lineages with 2^31
-#: literals do not fit in memory anyway); polarities as uint8 because
-#: bool has no stable wire width guarantee across numpy versions.
-BUFFER_SPECS: Tuple[Tuple[str, str], ...] = (
-    ("clause_starts", "int32"),
-    ("literal_events", "int32"),
-    ("literal_polarities", "uint8"),
-    ("weights", "float64"),
-)
 
 
 def clause_sort_key(clause: Clause) -> Tuple:
@@ -100,10 +73,8 @@ class SampleArena:
     One arena serves one ``(packed shape, batch, dtype)`` combination at
     a time; :meth:`ensure` reallocates only when any of those change (a
     Karp–Luby run over one lineage sees at most two batch sizes: the
-    cap and the final remainder).  An arena may be shared across
-    lineages — the scatter workers hold one per process — at the cost
-    of a reallocation whenever the lineage shape changes.  Holding the
-    arena on the sampler rather than the packed lineage keeps
+    cap and the final remainder).  Each sampler owns its arena rather
+    than sharing one through the packed lineage, which keeps
     concurrent samplers over one lineage independent.
     """
 
@@ -181,7 +152,6 @@ class PackedLineage:
         "clause_distribution",
         "clause_cumulative",
         "total",
-        "_shape_hash",
     )
 
     def __init__(self, lineage: Lineage) -> None:
@@ -213,7 +183,6 @@ class PackedLineage:
         self.clause_starts = np.array(starts, dtype=np.int64)
         self.literal_events = np.array(event_ids, dtype=np.int32)
         self.literal_polarities = np.array(polarities, dtype=bool)
-        self._shape_hash: Optional[str] = None
         self._build_padded()
         self._finalize()
 
@@ -227,7 +196,7 @@ class PackedLineage:
         return packed
 
     # ------------------------------------------------------------------
-    # Construction internals (shared by __init__ / from_buffers / reweight)
+    # Construction internals
     # ------------------------------------------------------------------
 
     def _build_padded(self) -> None:
@@ -290,101 +259,6 @@ class PackedLineage:
             if self.clause_distribution is not None
             else None
         )
-
-    # ------------------------------------------------------------------
-    # Flat-buffer wire format (the zero-copy scatter transport)
-    # ------------------------------------------------------------------
-
-    def to_buffers(self) -> Dict[str, "np.ndarray"]:
-        """The four flat arrays that fully determine the sampler.
-
-        Event *identities* deliberately do not travel: estimation only
-        needs the dense structure, so a worker reconstructs a detached
-        instance without re-interning tuple keys.  Dtypes follow
-        :data:`BUFFER_SPECS`.
-        """
-        return {
-            "clause_starts": self.clause_starts.astype(np.int32),
-            "literal_events": self.literal_events,
-            "literal_polarities": self.literal_polarities.astype(np.uint8),
-            "weights": self.weights,
-        }
-
-    @classmethod
-    def from_buffers(cls, buffers: Dict[str, "np.ndarray"]) -> "PackedLineage":
-        """Rebuild a (detached) packed lineage from :meth:`to_buffers`.
-
-        Every array is copied, so the result owns its memory and the
-        source buffers (e.g. a shared-memory segment) can be released
-        immediately.  The reconstruction is bit-exact: estimates from a
-        round-tripped instance equal the original's at a fixed seed.
-
-        >>> from repro.core.parser import parse
-        >>> from repro.db.database import ProbabilisticDatabase
-        >>> from repro.lineage.grounding import ground_lineage
-        >>> db = ProbabilisticDatabase.from_dict(
-        ...     {"R": {(1,): 0.5}, "S": {(1, 2): 0.4, (1, 3): 0.9}})
-        >>> packed = PackedLineage.of(ground_lineage(parse("R(x), S(x,y)"), db))
-        >>> clone = PackedLineage.from_buffers(packed.to_buffers())
-        >>> clone.n_clauses == packed.n_clauses, float(clone.total) == float(packed.total)
-        (True, True)
-        """
-        if np is None:  # pragma: no cover - callers check HAVE_NUMPY
-            raise RuntimeError("PackedLineage requires numpy")
-        self = object.__new__(cls)
-        self.clause_starts = np.array(buffers["clause_starts"], dtype=np.int64)
-        self.literal_events = np.array(
-            buffers["literal_events"], dtype=np.int32
-        )
-        self.literal_polarities = np.array(
-            buffers["literal_polarities"], dtype=bool
-        )
-        self.weights = np.array(buffers["weights"], dtype=np.float64)
-        # Detached: dense ids stand in for the tuple events.
-        self.events = list(range(len(self.weights)))
-        self.event_index = {}
-        self._shape_hash = None
-        self._build_padded()
-        self._finalize()
-        return self
-
-    def reweight(self, weights) -> None:
-        """Swap the marginals in place, keeping the clause structure.
-
-        The scatter cache's refresh path: a probability-only database
-        change re-ships one float64 vector instead of the whole
-        structure, and the clause distribution is rebuilt locally.
-        """
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (self.n_events,):
-            raise ValueError(
-                f"expected {self.n_events} weights, got shape {weights.shape}"
-            )
-        self.weights = weights.copy()
-        self._finalize()
-
-    def shape_hash(self) -> str:
-        """Digest of the weight-independent structure (cache key).
-
-        Stable across processes and runs — computed from the canonical
-        wire-format bytes, not python ``hash``.  Cached: the structure
-        is immutable.
-        """
-        cached = self._shape_hash
-        if cached is None:
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(len(self.weights).to_bytes(8, "little"))
-            digest.update(self.clause_starts.astype(np.int32).tobytes())
-            digest.update(self.literal_events.tobytes())
-            digest.update(self.literal_polarities.astype(np.uint8).tobytes())
-            cached = self._shape_hash = digest.hexdigest()
-        return cached
-
-    def weight_hash(self) -> str:
-        """Digest of the marginals (recomputed: :meth:`reweight` exists)."""
-        return hashlib.blake2b(
-            self.weights.tobytes(), digest_size=16
-        ).hexdigest()
 
     # ------------------------------------------------------------------
     # Shape
@@ -480,7 +354,7 @@ class PackedLineage:
         """Overwrite each sample's events so its chosen clause holds.
 
         ``chosen`` holds one clause id per sample (column).  The
-        scatter indices are built without a python loop: per-sample
+        write indices are built without a python loop: per-sample
         literal counts expand to flat CSR positions via repeat +
         cumulative offsets.
         """

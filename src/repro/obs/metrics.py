@@ -67,9 +67,9 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 class Ewma:
     """An exponentially weighted moving average, optionally seeded.
 
-    The serving stack's smoothing primitive: the pool's adaptive
-    scatter cost model and the overload detector both track noisy
-    per-batch measurements through one of these.  ``observe`` folds a
+    The serving stack's smoothing primitive: the pool's overload
+    detector tracks its noisy per-batch queue waits through one of
+    these.  ``observe`` folds a
     sample in and returns the new level; an unseeded average snaps to
     its first sample instead of warming up from zero (a queue-wait
     average that spent its first hundred batches climbing from 0.0

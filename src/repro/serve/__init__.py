@@ -40,7 +40,6 @@ from .pool import (
 )
 from .server import BackgroundServer, RequestServer, serve_forever
 from .session import PreparedQuery, QuerySession, SessionStats
-from .transfer import ScatterCache
 
 __all__ = [
     "BackgroundServer",
@@ -52,7 +51,6 @@ __all__ = [
     "PreparedQuery",
     "QuerySession",
     "RequestServer",
-    "ScatterCache",
     "ServerPool",
     "SessionConfig",
     "SessionStats",

@@ -45,14 +45,9 @@ traffic.  The moving parts:
   queued), and an overload mode (queue-wait EWMA above threshold)
   degrades gracefully by clamping Monte Carlo sample budgets.
 
-* **Monte Carlo scatter.**  :meth:`ServerPool.estimate_lineages`
-  ships a batch of unsafe lineages to the workers as packed flat
-  buffers over shared memory (pickle fallback), with a worker-side
-  structural cache so repeated spikes on the same query transfer
-  nothing, and an adaptive cost model that keeps small batches inline
-  — the pool-level answer to an unsafe-query spike, exact-seed-
-  deterministic per lineage (see ``docs/ARCHITECTURE.md`` § "Monte
-  Carlo scatter").
+Monte Carlo work needs no pool machinery of its own: an unsafe query
+is sampled inside the worker that owns its shape, like every other
+request.
 
 ``workers=0`` runs everything inline on one lock-guarded session in
 this process — same API, no subprocesses — which keeps doctests, small
@@ -69,7 +64,6 @@ deployments and fork-less platforms simple::
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 import zlib
@@ -77,16 +71,7 @@ from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import (
-    Deque,
-    Dict,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.parser import parse
 from ..core.query import ConjunctiveQuery, canonical_string
@@ -94,16 +79,9 @@ from ..core.union import AnyQuery, UnionQuery
 from ..db.database import ProbabilisticDatabase
 from ..db.relation import Probability, Value
 from ..engines.base import Answer
-from ..engines.montecarlo import MonteCarloEngine, resolve_backend
-from ..lineage.boolean import Lineage
-from ..lineage.packed import HAVE_NUMPY, PackedLineage, SampleArena
 from ..obs.metrics import Ewma, MetricsRegistry, merge_snapshots
 from .faults import build_injector
 from .session import QueryLike, QuerySession, SessionStats
-from .transfer import ScatterCache, pack_arrays, release_segment, unpack_arrays
-
-SCATTER_POLICIES = ("adaptive", "always", "never")
-SCATTER_TRANSPORTS = ("auto", "shm", "pickle")
 
 __all__ = [
     "PoolOverloadError",
@@ -164,22 +142,6 @@ def shard_of(shape: str, workers: int) -> int:
     return zlib.crc32(shape.encode("utf-8")) % workers
 
 
-def _available_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-POSIX
-        return os.cpu_count() or 1
-
-
-def _decompose(key, lineage: Lineage) -> tuple:
-    """Plain clauses/weights for the legacy queue op: pickling a
-    Lineage would drag its cached PackedLineage arrays along."""
-    return (
-        key, lineage.clauses, dict(lineage.weights), lineage.certainly_true
-    )
-
-
 @dataclass(frozen=True)
 class SessionConfig:
     """Picklable recipe for building one worker's :class:`QuerySession`.
@@ -198,9 +160,6 @@ class SessionConfig:
     #: When False, every worker gets a disabled (null) registry —
     #: the knob ``benchmarks/bench_obs.py`` uses to price telemetry.
     metrics_enabled: bool = True
-    #: Capacity of each worker's packed-lineage LRU (structures kept
-    #: for reweight-only scatter refreshes); 0 disables caching.
-    scatter_cache: int = 128
     #: Fault-injection spec for the chaos harness
     #: (:mod:`repro.serve.faults`), e.g. ``"seed=7,kill=0.01"``.
     #: ``None`` (production) leaves the worker loop fault-free; the
@@ -294,8 +253,9 @@ class PoolStats:
 # "sync" and "configure" are fire-and-forget (the front validated them
 # already); everything else is answered at most once — the reply is
 # deliberately suppressed under the "drop" fault.  Failure replies are
-# ("error" | "timeout", message) pairs so deadline expiry inside the
-# worker surfaces as PoolTimeoutError, not WorkerError.
+# ("error" | "invalid" | "timeout", message) pairs so deadline expiry
+# inside the worker surfaces as PoolTimeoutError and a client error as
+# ValueError, not WorkerError.
 
 _STOP = "stop"
 
@@ -308,11 +268,6 @@ def _worker_main(config, snapshot, request_queue, reply, worker_index) -> None:
     """Entry point of one worker process."""
     db = ProbabilisticDatabase.from_snapshot(snapshot)
     session = config.build_session(db)
-    # Scatter state outlives session re-syncs: cached packed lineages
-    # are validated by front-computed hashes, never by db versions, so
-    # a sync (or update) can't make an entry stale — at worst the front
-    # ships a fresh weights vector.
-    scatter = _WorkerScatter(config)
     injector = build_injector(config.faults, worker_index)
     while True:
         op, request_id, payload = request_queue.get()
@@ -348,30 +303,28 @@ def _worker_main(config, snapshot, request_queue, reply, worker_index) -> None:
                     ))
                 continue
         try:
-            result = _worker_execute(session, op, payload, scatter)
+            result = _worker_execute(session, op, payload)
         except Exception as error:  # noqa: BLE001 - forwarded to the front
             if fault != "drop":
-                reply.send((
-                    request_id, False,
-                    ("error", f"{type(error).__name__}: {error}"),
-                ))
+                reply.send((request_id, False, _error_reply(error)))
         else:
             if fault != "drop":
                 reply.send((request_id, True, result))
 
 
-class _WorkerScatter:
-    """Per-worker scatter state: the packed-lineage LRU and the arena."""
+def _error_reply(error: Exception) -> tuple:
+    """The failure payload for an exception raised by a worker op.
 
-    def __init__(self, config: SessionConfig) -> None:
-        self.cache = ScatterCache(config.scatter_cache)
-        self.arena = SampleArena() if HAVE_NUMPY else None
+    A :class:`ValueError` is the client's fault (bad query, wrong
+    arity), so it travels as ``"invalid"`` with its bare message and the
+    front re-raises a ``ValueError`` — the same 400 an inline pool gives.
+    """
+    if isinstance(error, ValueError):
+        return ("invalid", str(error))
+    return ("error", f"{type(error).__name__}: {error}")
 
 
-def _worker_execute(
-    session: QuerySession, op: str, payload,
-    scatter: Optional[_WorkerScatter] = None,
-):
+def _worker_execute(session: QuerySession, op: str, payload):
     if op == "evaluate_many":
         return session.evaluate_many(payload[0])
     if op == "answers_many":
@@ -381,73 +334,11 @@ def _worker_execute(
             ranking if k is None else ranking[:k]
             for (_query, k), ranking in zip(items, rankings)
         ]
-    if op == "estimate":
-        samples, items = payload
-        monte_carlo = session.router.monte_carlo
-        if samples is not None:
-            # reconfigured() (not a hand-rolled ctor call) so the
-            # override keeps the method, backend and metrics registry.
-            monte_carlo = monte_carlo.reconfigured(samples=samples)
-        return [
-            (key,) + monte_carlo.estimate_lineage(
-                Lineage(clauses, weights, certainly_true=certain)
-            )
-            for key, clauses, weights, certain in items
-        ]
-    if op == "estimate_packed":
-        return _worker_estimate_packed(session, payload, scatter)
     if op == "stats":
         return session.stats
     if op == "metrics":
         return session.metrics.snapshot()
     raise ValueError(f"unknown worker op {op!r}")
-
-
-def _worker_estimate_packed(
-    session: QuerySession, payload, scatter: _WorkerScatter
-):
-    """Estimate a manifest of packed lineages shipped as flat buffers.
-
-    Manifest entries are ``("full", key, shape_hash, weight_hash,
-    {buffer_name: array_index})``, ``("weights", key, shape_hash,
-    weight_hash, array_index)`` or ``("cached", key, shape_hash,
-    weight_hash)``; array indices point into the transport payload.
-    Cache lookups the front predicted wrong (evictions, races) come
-    back in ``misses`` and the front retries them with full buffers —
-    the worker never guesses at missing structure.
-    """
-    samples, transport_payload, manifest = payload
-    arrays = unpack_arrays(transport_payload)
-    monte_carlo = session.router.monte_carlo
-    if samples is not None:
-        monte_carlo = monte_carlo.reconfigured(samples=samples)
-    cache = scatter.cache
-    results = []
-    misses = []
-    start = time.perf_counter()
-    for entry in manifest:
-        kind, key, shape_hash, weight_hash = entry[:4]
-        if kind == "full":
-            packed = PackedLineage.from_buffers(
-                {name: arrays[index] for name, index in entry[4].items()}
-            )
-            cache.put(shape_hash, weight_hash, packed)
-        elif kind == "weights":
-            packed = cache.get(shape_hash, weight_hash, arrays[entry[4]])
-        else:  # "cached"
-            packed = cache.get(shape_hash, weight_hash)
-        if packed is None:
-            misses.append(key)
-            continue
-        estimate, half_width = monte_carlo.estimate_packed(
-            packed, scatter.arena
-        )
-        results.append((key, estimate, half_width))
-    return {
-        "results": results,
-        "misses": misses,
-        "compute_seconds": time.perf_counter() - start,
-    }
 
 
 @dataclass
@@ -513,12 +404,6 @@ class ServerPool:
             Carlo sample budget (``overload_samples``, default a tenth
             of the configured budget); recovery at half the threshold.
             None disables overload degradation.
-        scatter_policy: when :meth:`estimate_lineages` ships work to
-            workers — ``"adaptive"`` (cost model, the default),
-            ``"always"`` or ``"never"`` (always estimate on the front).
-        scatter_transport: how packed lineages travel — ``"auto"``
-            (shared memory, pickle when unavailable), ``"shm"`` or
-            ``"pickle"``.
 
     Thread-safe: any number of threads may call :meth:`evaluate`,
     :meth:`answers`, :meth:`update` etc. concurrently; concurrent
@@ -542,8 +427,7 @@ class ServerPool:
         update_log_limit: int = 512,
         overload_threshold: Optional[float] = None,
         overload_samples: Optional[int] = None,
-        scatter_policy: str = "adaptive",
-        scatter_transport: str = "auto",
+        scatter_policy: object = None,  # ignored: perfbench/run.py still passes it
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -554,16 +438,6 @@ class ServerPool:
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}"
-            )
-        if scatter_policy not in SCATTER_POLICIES:
-            raise ValueError(
-                f"unknown scatter policy {scatter_policy!r}; "
-                f"expected one of {SCATTER_POLICIES}"
-            )
-        if scatter_transport not in SCATTER_TRANSPORTS:
-            raise ValueError(
-                f"unknown scatter transport {scatter_transport!r}; "
-                f"expected one of {SCATTER_TRANSPORTS}"
             )
         self.db = db
         self.config = config if config is not None else SessionConfig()
@@ -577,25 +451,9 @@ class ServerPool:
         self.update_log_limit = update_log_limit
         self.overload_threshold = overload_threshold
         self.overload_samples = overload_samples
-        self.scatter_policy = scatter_policy
-        self.scatter_transport = scatter_transport
-        #: Introspection: what the last ``estimate_lineages`` call
-        #: decided (choice, estimated seconds, item counts) — consumed
-        #: by the benchmark sweep and the policy tests.
-        self.last_scatter_decision: Optional[dict] = None
-        # Adaptive-policy cost model: EWMA of seconds per cost unit
-        # (batch_cost × sample) and of per-call dispatch overhead,
-        # refreshed from the same measurements that feed the
-        # repro_pool_scatter_seconds histogram.  Seeds are deliberately
-        # pessimistic-per-unit so a cold pool keeps small batches
-        # inline until real measurements arrive.
-        self._unit_seconds = Ewma(alpha=0.3, initial=5e-9)
-        self._overhead_seconds = Ewma(alpha=0.3, initial=2e-3)
         #: Queue-wait smoothing that drives the overload detector.
         self._wait_ewma = Ewma(alpha=0.2, initial=0.0)
         self._overloaded = False
-        self._front_mc: Optional[MonteCarloEngine] = None
-        self._front_arena = SampleArena() if HAVE_NUMPY else None
         self._lock = threading.Lock()
         self._closed = False
         self._requests = 0
@@ -658,26 +516,6 @@ class ServerPool:
             "Overload mode transitions",
             ("state",),
         )
-        self._metric_scatter_seconds = self.metrics.histogram(
-            "repro_pool_scatter_seconds",
-            "End-to-end latency of Monte Carlo scatter calls "
-            "(estimate_lineages)",
-        )
-        self._metric_scatter_policy = self.metrics.counter(
-            "repro_pool_scatter_policy_total",
-            "estimate_lineages calls by adaptive-policy outcome",
-            ("choice",),
-        )
-        self._metric_scatter_items = self.metrics.counter(
-            "repro_pool_scatter_items_total",
-            "Lineages shipped to workers, by transfer path",
-            ("path",),
-        )
-        self._metric_scatter_transport = self.metrics.counter(
-            "repro_pool_scatter_transport_total",
-            "Scatter messages dispatched, by transport",
-            ("transport",),
-        )
         #: Fallback serving for degraded shards (and twice-failed
         #: retries): one lock-guarded session over the authoritative
         #: front database, built lazily on first degrade.
@@ -702,6 +540,8 @@ class ServerPool:
         self._update_log: Deque[tuple] = deque()
         self._request_queues = []
         self._reply_readers: List[Optional[object]] = []
+        #: Readers of dead workers, waiting for the collector to close them.
+        self._detached_readers: List[object] = []
         self._processes = []
         for shard in range(workers):
             queue, process, reader = self._spawn_worker(shard, snapshot)
@@ -709,11 +549,6 @@ class ServerPool:
             self._processes.append(process)
             self._reply_readers.append(reader)
         self._synced_versions = (db.structure_version, db.version)
-        #: Per shard: shape_hash -> weight_hash last shipped, the
-        #: front's (optimistic) model of each worker's scatter cache.
-        self._worker_shapes: List[Dict[str, str]] = [
-            {} for _ in range(workers)
-        ]
         #: request id -> in-flight record for dispatched messages.
         self._pending: Dict[int, _Inflight] = {}
         self._ids = itertools.count()
@@ -936,400 +771,6 @@ class ServerPool:
                 self._log_snapshot = self.db.snapshot()
                 self._update_log.clear()
 
-    def estimate_lineages(
-        self,
-        lineages: Mapping[Hashable, Lineage],
-        samples: Optional[int] = None,
-    ) -> Dict[Hashable, Tuple[float, float]]:
-        """Monte Carlo estimation of many lineages, scattered when worth it.
-
-        The pool-level pressure valve for unsafe-query spikes; results
-        come back as ``{key: (estimate, 95% half-width)}``, bit-
-        identical regardless of where they ran (inline, shm scatter,
-        pickle scatter) because every path seeds a sampler the same
-        way per lineage.  ``samples`` overrides the per-lineage sample
-        cap from the worker config.
-
-        With workers, lineages travel as packed flat buffers through
-        shared memory, workers keep a structural LRU so repeats ship
-        nothing (or just a weights vector), and the adaptive policy
-        runs batches inline on the front when their estimated compute
-        wouldn't amortize the dispatch overhead — see
-        ``docs/ARCHITECTURE.md`` § "Monte Carlo scatter".  A worker
-        dying (or stalling past the deadline) mid-estimate re-runs its
-        chunk on the front — callers never see the crash.
-        """
-        start = time.perf_counter()
-        if self._session is not None:
-            self._check_open()
-            # Copy the engine reference under the lock, then sample
-            # outside it: a long unsafe batch must not block concurrent
-            # evaluate/answers traffic on the inline session.
-            with self._session_lock:
-                monte_carlo = self._session.router.monte_carlo
-            if samples is not None:
-                monte_carlo = monte_carlo.reconfigured(samples=samples)
-            results = monte_carlo.estimate_lineages(dict(lineages))
-            self._metric_scatter_seconds.observe(time.perf_counter() - start)
-            return results
-        with self._lock:
-            self._check_open()
-        results: Dict[Hashable, Tuple[float, float]] = {}
-        packed_items: List[tuple] = []  # (key, PackedLineage, cost units)
-        legacy_items: List[tuple] = []  # (key, clauses, weights, certain)
-        per_lineage_samples = (
-            samples if samples is not None else self.config.mc_samples
-        )
-        vectorized = (
-            HAVE_NUMPY
-            and resolve_backend(self.config.mc_backend) != "python"
-        )
-        for key, lineage in lineages.items():
-            # Trivial lineages short-circuit exactly like
-            # estimate_lineage() does, so no path ever samples them.
-            if lineage.certainly_true:
-                results[key] = (1.0, 0.0)
-                continue
-            if lineage.is_false:
-                results[key] = (0.0, 0.0)
-                continue
-            if not vectorized:
-                legacy_items.append(_decompose(key, lineage))
-                continue
-            try:
-                packed = PackedLineage.of(lineage)
-            except Exception:  # noqa: BLE001 - malformed lineage
-                # Ship it unpacked so the failure happens *in a worker*
-                # and surfaces uniformly as WorkerError.
-                legacy_items.append(_decompose(key, lineage))
-                continue
-            if packed.total == 0.0:
-                results[key] = (0.0, 0.0)
-                continue
-            packed_items.append(
-                (key, packed, packed.batch_cost * per_lineage_samples)
-            )
-        choice, estimated, effective = self._scatter_choice(packed_items)
-        self.last_scatter_decision = {
-            "choice": choice,
-            "estimated_seconds": estimated,
-            "workers_effective": effective,
-            "packed_items": len(packed_items),
-            "legacy_items": len(legacy_items),
-        }
-        legacy_futures = self._scatter_legacy(legacy_items, samples)
-        if packed_items:
-            self._metric_scatter_policy.labels(choice).inc()
-            if choice == "inline":
-                self._estimate_inline(packed_items, samples, results)
-            else:
-                self._scatter_packed(packed_items, samples, results)
-        engine = None
-        for future, chunk in legacy_futures:
-            try:
-                rows = self._result(future, self.request_timeout)
-            except (WorkerDiedError, PoolTimeoutError):
-                # The worker vanished (or wedged) mid-estimate; the
-                # front recomputes this chunk — same seeds, same
-                # numbers, just slower.
-                if engine is None:
-                    engine = self._front_engine(samples)
-                rows = [
-                    (key,) + engine.estimate_lineage(
-                        Lineage(clauses, weights, certainly_true=certain)
-                    )
-                    for key, clauses, weights, certain in chunk
-                ]
-            for key, estimate, half_width in rows:
-                results[key] = (estimate, half_width)
-        self._metric_scatter_seconds.observe(time.perf_counter() - start)
-        return results
-
-    # -- scatter internals (workers > 0) --------------------------------
-
-    #: On an effectively single-core host scattering can't beat inline
-    #: on throughput, but batches expected to hog the front thread for
-    #: longer than this still ship to a worker so concurrent traffic
-    #: stays responsive.
-    _FRONT_HOG_SECONDS = 0.25
-
-    def _alive_shards(self) -> List[int]:
-        with self._lock:
-            return [
-                shard for shard in range(self.workers)
-                if not self._degraded[shard]
-            ]
-
-    def _scatter_choice(
-        self, packed_items: List[tuple]
-    ) -> Tuple[str, float, int]:
-        """(choice, estimated seconds, effective workers) for a batch.
-
-        Scattering trades ``(1 - 1/W)`` of the compute for one dispatch
-        round trip, so it wins when ``estimated > overhead · W/(W-1)``.
-        ``W`` is capped by the cores actually available — spawning work
-        across 4 workers on 1 core parallelizes nothing.
-        """
-        cost_units = sum(cost for _key, _packed, cost in packed_items)
-        alive = len(self._alive_shards())
-        with self._lock:
-            estimated = cost_units * self._unit_seconds.value
-            overhead = self._overhead_seconds.value
-        effective = max(1, min(alive, _available_cpus()))
-        if alive == 0:
-            return "inline", estimated, 1
-        if self.scatter_policy == "always":
-            return "scatter", estimated, effective
-        if self.scatter_policy == "never":
-            return "inline", estimated, effective
-        if effective > 1:
-            threshold = overhead * effective / (effective - 1)
-            choice = "scatter" if estimated > threshold else "inline"
-        else:
-            choice = (
-                "scatter" if estimated > self._FRONT_HOG_SECONDS
-                else "inline"
-            )
-        return choice, estimated, effective
-
-    def _front_engine(self, samples: Optional[int]) -> MonteCarloEngine:
-        """The front's own sampler for inline-policy batches.
-
-        Configured identically to every worker's engine (same seed,
-        samples, backend), so an inline decision changes *where* the
-        batch runs, never what it returns.
-        """
-        engine = self._front_mc
-        if engine is None:
-            engine = self._front_mc = MonteCarloEngine(
-                samples=self.config.mc_samples,
-                seed=self.config.mc_seed,
-                backend=self.config.mc_backend,
-                metrics=self.metrics,
-            )
-        if samples is not None and samples != engine.samples:
-            return engine.reconfigured(samples=samples)
-        return engine
-
-    def _estimate_inline(
-        self, packed_items: List[tuple], samples: Optional[int],
-        results: Dict[Hashable, Tuple[float, float]],
-    ) -> None:
-        engine = self._front_engine(samples)
-        compute_start = time.perf_counter()
-        for key, packed, _cost in packed_items:
-            results[key] = engine.estimate_packed(packed, self._front_arena)
-        compute = time.perf_counter() - compute_start
-        cost_units = sum(cost for _key, _packed, cost in packed_items)
-        if cost_units:
-            self._observe_scatter_costs(unit_seconds=compute / cost_units)
-
-    def _scatter_packed(
-        self, packed_items: List[tuple], samples: Optional[int],
-        results: Dict[Hashable, Tuple[float, float]],
-    ) -> None:
-        """Ship packed lineages to workers, cost-balanced, cache-aware.
-
-        Chunking is longest-processing-time greedy on estimated cost
-        (not round-robin), so one huge lineage doesn't serialize the
-        batch behind it.  Cache misses reported by a worker are retried
-        once with full buffers — full entries cannot miss, so the retry
-        round terminates.  A chunk whose worker dies or times out is
-        recomputed on the front with identical seeding.
-        """
-        shards = self._alive_shards()
-        if not shards:
-            self._estimate_inline(packed_items, samples, results)
-            return
-        chunks: Dict[int, List[tuple]] = {shard: [] for shard in shards}
-        loads = {shard: 0.0 for shard in shards}
-        for key, packed, cost in sorted(
-            packed_items, key=lambda item: -item[2]
-        ):
-            shard = min(shards, key=loads.__getitem__)
-            chunks[shard].append((key, packed))
-            loads[shard] += cost
-        wall_start = time.perf_counter()
-        compute_seconds: List[float] = []
-        round_items = [
-            (shard, chunk) for shard, chunk in chunks.items() if chunk
-        ]
-        force_full = False
-        while round_items:
-            dispatched = []
-            for shard, chunk in round_items:
-                future, segment = self._send_packed(
-                    shard, chunk, samples, force_full
-                )
-                dispatched.append((shard, dict(chunk), future, segment))
-            round_items = []
-            for shard, by_key, future, segment in dispatched:
-                try:
-                    reply = self._result(future, self.request_timeout)
-                except (WorkerDiedError, PoolTimeoutError):
-                    release_segment(segment)
-                    engine = self._front_engine(samples)
-                    for key, packed in by_key.items():
-                        results[key] = engine.estimate_packed(
-                            packed, self._front_arena
-                        )
-                    continue
-                finally:
-                    release_segment(segment)
-                for key, estimate, half_width in reply["results"]:
-                    results[key] = (estimate, half_width)
-                compute_seconds.append(reply["compute_seconds"])
-                if reply["misses"]:
-                    round_items.append(
-                        (shard,
-                         [(key, by_key[key]) for key in reply["misses"]])
-                    )
-            force_full = True
-        wall = time.perf_counter() - wall_start
-        cost_units = sum(cost for _key, _packed, cost in packed_items)
-        if compute_seconds and cost_units:
-            self._observe_scatter_costs(
-                unit_seconds=sum(compute_seconds) / cost_units,
-                overhead_seconds=max(0.0, wall - max(compute_seconds)),
-            )
-
-    def _send_packed(
-        self, shard: int, chunk: List[tuple], samples: Optional[int],
-        force_full: bool,
-    ) -> Tuple[Future, Optional[object]]:
-        """Dispatch one ``estimate_packed`` message to ``shard``.
-
-        Builds the manifest against the front's model of the worker's
-        cache (``_worker_shapes``): a structure the worker should
-        already hold ships as ``cached`` (hashes only) or ``weights``
-        (one float64 vector); everything else ships full buffers.  The
-        model is updated at enqueue time — per-shard FIFO makes that
-        sound, and a wrong guess (eviction, crash) only costs a miss
-        retry.
-        """
-        arrays: List[object] = []
-        manifest: List[tuple] = []
-        paths = {"full": 0, "weights": 0, "cached": 0}
-        with self._lock:
-            self._check_open()
-            if self._request_queues[shard] is None:
-                # Degraded between chunking and dispatch: hand the
-                # caller a pre-failed future so its normal died-worker
-                # fallback recomputes this chunk inline.
-                future: Future = Future()
-                future.set_exception(
-                    WorkerDiedError(f"shard {shard} is degraded")
-                )
-                return future, None
-            known = self._worker_shapes[shard]
-            for key, packed in chunk:
-                shape_hash = packed.shape_hash()
-                weight_hash = packed.weight_hash()
-                have = None if force_full else known.get(shape_hash)
-                if have == weight_hash:
-                    manifest.append(("cached", key, shape_hash, weight_hash))
-                    paths["cached"] += 1
-                elif have is not None:
-                    manifest.append(
-                        ("weights", key, shape_hash, weight_hash,
-                         len(arrays))
-                    )
-                    arrays.append(packed.weights)
-                    paths["weights"] += 1
-                else:
-                    buffers = packed.to_buffers()
-                    indices = {}
-                    for name in (
-                        "clause_starts", "literal_events",
-                        "literal_polarities", "weights",
-                    ):
-                        indices[name] = len(arrays)
-                        arrays.append(buffers[name])
-                    manifest.append(
-                        ("full", key, shape_hash, weight_hash, indices)
-                    )
-                    paths["full"] += 1
-                known[shape_hash] = weight_hash
-            payload, segment = pack_arrays(arrays, self.scatter_transport)
-            for path, count in paths.items():
-                if count:
-                    self._metric_scatter_items.labels(path).inc(count)
-            self._metric_scatter_transport.labels(payload[0]).inc()
-            future: Future = Future()
-            request_id = next(self._ids)
-            self._pending[request_id] = _Inflight(
-                "estimate_packed", [future], shard
-            )
-            self._request_queues[shard].put(
-                ("estimate_packed", request_id, (samples, payload, manifest))
-            )
-            self._batches += 1
-        return future, segment
-
-    def _scatter_legacy(
-        self, items: List[tuple], samples: Optional[int]
-    ) -> List[Tuple[Future, list]]:
-        """Round-robin the non-packable leftovers over the legacy op.
-
-        Returns ``(future, chunk)`` pairs so the caller can recompute a
-        chunk on the front if its worker dies before replying.
-        """
-        if not items:
-            return []
-        shards = self._alive_shards()
-        if not shards:
-            # Every shard degraded: fabricate resolved futures from an
-            # inline computation so the caller's collection loop stays
-            # uniform.
-            engine = self._front_engine(samples)
-            future: Future = Future()
-            future.set_result([
-                (key,) + engine.estimate_lineage(
-                    Lineage(clauses, weights, certainly_true=certain)
-                )
-                for key, clauses, weights, certain in items
-            ])
-            return [(future, items)]
-        chunks: Dict[int, list] = {shard: [] for shard in shards}
-        for index, item in enumerate(items):
-            chunks[shards[index % len(shards)]].append(item)
-        futures = []
-        with self._lock:
-            self._check_open()
-            self._metric_scatter_items.labels("legacy").inc(len(items))
-            for shard, chunk in chunks.items():
-                if not chunk:
-                    continue
-                future = Future()
-                queue = self._request_queues[shard]
-                if queue is None:  # degraded since the alive check
-                    future.set_exception(
-                        WorkerDiedError(f"shard {shard} is degraded")
-                    )
-                    futures.append((future, chunk))
-                    continue
-                request_id = next(self._ids)
-                payload = (samples, chunk)
-                self._pending[request_id] = _Inflight(
-                    "estimate", [future], shard, payload
-                )
-                queue.put(("estimate", request_id, payload))
-                self._batches += 1
-                futures.append((future, chunk))
-        return futures
-
-    def _observe_scatter_costs(
-        self,
-        unit_seconds: Optional[float] = None,
-        overhead_seconds: Optional[float] = None,
-    ) -> None:
-        """Fold fresh measurements into the adaptive-policy EWMAs."""
-        with self._lock:
-            if unit_seconds is not None:
-                self._unit_seconds.observe(unit_seconds)
-            if overhead_seconds is not None:
-                self._overhead_seconds.observe(overhead_seconds)
-
     def stats(self) -> PoolStats:
         """Aggregate per-worker :class:`SessionStats` plus front counters."""
         with self._lock:
@@ -1509,7 +950,7 @@ class ServerPool:
         for queue in self._request_queues:
             if queue is not None:
                 queue.close()
-        for reader in self._reply_readers:
+        for reader in self._reply_readers + self._detached_readers:
             if reader is not None:
                 reader.close()
 
@@ -1886,25 +1327,16 @@ class ServerPool:
                 del self._pending[request_id]
             buffered = self._buffers[shard]
             self._buffers[shard] = []
-            old_reader = self._reply_readers[shard]
-            self._reply_readers[shard] = None
+            self._detach_reader_locked(shard)
             if crash_looping:
                 self._degraded[shard] = True
                 self._request_queues[shard].close()
                 self._request_queues[shard] = None
                 self._metric_degraded.set(sum(self._degraded))
             else:
-                # Rehydrate: base snapshot via the ctor, missed FIFO
-                # broadcast via log replay — enqueued before anything
-                # else can reach the new queue (we hold the lock), so
-                # every re-dispatched request observes current state.
                 snapshot = self._log_snapshot
-                replay = list(self._update_log)
                 self._respawns += 1
                 self._metric_respawns.labels(str(shard)).inc()
-                self._worker_shapes[shard] = {}
-        if old_reader is not None:
-            old_reader.close()
         if not crash_looping:
             queue, process, reader = self._spawn_worker(shard, snapshot)
             with self._lock:
@@ -1913,7 +1345,17 @@ class ServerPool:
                     reader.close()
                     process.terminate()
                     return
-                for payload in replay:
+                # Rehydrate: the ctor loaded the base snapshot; replay
+                # the log as it stands *now*, so updates broadcast to
+                # the dead queue while this worker spawned are not
+                # lost.  A sync or log compaction meanwhile replaced
+                # the base — ship the new one first.  Enqueued before
+                # anything else can reach the new queue (we hold the
+                # lock), so every re-dispatched request observes
+                # current state.
+                if self._log_snapshot is not snapshot:
+                    queue.put(("sync", None, self._log_snapshot))
+                for payload in self._update_log:
                     queue.put(("update", None, payload))
                 self._request_queues[shard] = queue
                 self._processes[shard] = process
@@ -1940,12 +1382,10 @@ class ServerPool:
         First-time casualties of a respawned shard are re-dispatched to
         the fresh worker; anything orphaned twice — or orphaned by a
         degraded shard — is served inline on the front (queries) or
-        failed with :class:`WorkerDiedError` (estimates, whose callers
-        run their own inline fallback).
+        failed with :class:`WorkerDiedError` (stats and metrics probes,
+        whose callers skip the shard).
         """
-        redispatch_ops = (
-            "evaluate_many", "answers_many", "estimate", "stats", "metrics"
-        )
+        redispatch_ops = ("evaluate_many", "answers_many", "stats", "metrics")
         inline_batches: List[Tuple[str, object, List[Future]]] = []
         orphans: List[Future] = []
         with self._lock:
@@ -2022,6 +1462,11 @@ class ServerPool:
         :class:`EOFError`), so the other shards' replies keep flowing —
         the property the old shared result queue could not give under
         SIGKILL chaos.
+
+        This thread is the only one that closes reply readers: a reader
+        closed by another thread while ``recv`` runs on it fails with an
+        arbitrary exception and would kill the collector, leaving every
+        later reply unrouted.
         """
         from multiprocessing.connection import wait
 
@@ -2029,11 +1474,14 @@ class ServerPool:
             with self._lock:
                 if self._collector_stop:
                     return
+                detached, self._detached_readers = self._detached_readers, []
                 readers = {
                     reader: shard
                     for shard, reader in enumerate(self._reply_readers)
                     if reader is not None
                 }
+            for reader in detached:
+                reader.close()
             if not readers:
                 time.sleep(0.05)
                 continue
@@ -2047,9 +1495,16 @@ class ServerPool:
                     with self._lock:
                         shard = readers[conn]
                         if self._reply_readers[shard] is conn:
-                            self._reply_readers[shard] = None
+                            self._detach_reader_locked(shard)
                     continue
                 self._route_reply(message)
+
+    def _detach_reader_locked(self, shard: int) -> None:
+        """Stop collecting from ``shard``'s reader; the collector closes it."""
+        reader = self._reply_readers[shard]
+        self._reply_readers[shard] = None
+        if reader is not None:
+            self._detached_readers.append(reader)
 
     def _route_reply(self, message) -> None:
         request_id, ok, payload = message
@@ -2064,6 +1519,8 @@ class ServerPool:
                 with self._lock:
                     self._timeouts += 1
                 self._metric_timeouts.inc()
+            elif kind == "invalid":
+                error = ValueError(text)
             else:
                 error = WorkerError(text)
             for future in entry.futures:
@@ -2074,7 +1531,7 @@ class ServerPool:
             for future, value in zip(entry.futures, payload):
                 if not future.done():
                     future.set_result(value)
-        else:  # estimate / stats / metrics / stop: one future, raw payload
+        else:  # stats / metrics / stop: one future, raw payload
             for future in entry.futures:
                 if not future.done():
                     future.set_result(payload)

@@ -61,7 +61,11 @@ from ..engines.base import Answer, UnsupportedQueryError, clamp01, rank_answers
 from ..engines.compiled import Artifact, canonicalize_lineage
 from ..engines.router import RouterEngine
 from ..lineage.boolean import Lineage
-from ..lineage.grounding import ground_answer_lineages, ground_lineage
+from ..lineage.grounding import (
+    check_arities,
+    ground_answer_lineages,
+    ground_lineage,
+)
 from ..lineage.planner import GroundingError
 from ..lineage.wmc import exact_probability
 
@@ -391,8 +395,17 @@ class QuerySession:
         relations' structural versions — so every later evaluation and
         every probability-only reweight reuses the plan, and only a
         structural change (insert, 0/1 boundary crossing) replans.
+
+        Every call (cache hits included) first checks the query's atom
+        arities against the database: a relation created after the
+        query was prepared may disagree with it.
+
+        Raises:
+            GroundingError: an atom's arity differs from its stored
+                relation's.
         """
         query = self._parse(query)
+        check_arities(query, self.db)
         shape = canonical_string(query)
         prepared = self._prepared.get(shape)
         if prepared is not None:

@@ -176,3 +176,16 @@ def test_cli_bad_database(tmp_path, capsys):
 def test_cli_bad_query(demo_db, capsys):
     assert main(["answers", "Q(z) :- R(x)", demo_db]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "answers"])
+@pytest.mark.parametrize("query, message", [
+    ("R(x), S(x,y), T(y), z > 3", "query is not range-restricted"),
+    ("R(x, y)", "relation R has arity 1, but atom R(x, y) has arity 2"),
+    ("Q(x) :- S(x)", "relation S has arity 2"),
+])
+def test_cli_query_database_mismatch(demo_db, capsys, command, query, message):
+    assert main([command, query, demo_db]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + message)
+    assert "Traceback" not in captured.err

@@ -10,6 +10,8 @@ from repro.engines import (
     RouterEngine,
     estimate_with_error,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.serve import QuerySession
 
 lineage = LineageEngine()
 
@@ -63,6 +65,32 @@ class TestMonteCarlo:
         mc = MonteCarloEngine(samples=20_000, seed=11)
         estimate = mc.probability(q, db)
         assert estimate == pytest.approx(exact, rel=0.2)
+
+    def test_reconfigured_preserves_everything(self):
+        registry = MetricsRegistry()
+        engine = MonteCarloEngine(
+            samples=1_000, method="naive", seed=9, backend="python",
+            metrics=registry,
+        )
+        clone = engine.reconfigured(samples=50)
+        assert clone.samples == 50
+        assert clone.method == "naive"
+        assert clone.seed == 9
+        assert clone.backend == "python"
+        assert clone._registry is registry
+        unchanged = engine.reconfigured()
+        assert unchanged.samples == 1_000
+
+    def test_sample_budget_override_keeps_metrics_registry(self, triangle_db):
+        # The overload clamp swaps the session's sampler for a
+        # reconfigured clone; its samples must still be counted.
+        session = QuerySession(
+            triangle_db, mc_seed=3, compile_budget=None
+        )
+        session.set_sample_budget(321)
+        session.evaluate("R(x,y), R(y,z)")
+        series = session.metrics.snapshot()["repro_mc_samples_total"]
+        assert sum(series["values"].values()) == 321
 
 
 class TestRouter:

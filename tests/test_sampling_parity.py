@@ -186,43 +186,6 @@ class TestArenaKernels:
         expected = packed.weights.mean()
         assert worlds.mean() == pytest.approx(expected, abs=0.05)
 
-    def test_kernel_hits_match_numpy_coverage(self):
-        # The (python view of the) numba kernel consumes the same
-        # pre-drawn uniforms as the numpy path and must agree exactly.
-        from repro.engines._native import _kl_coverage_hits_py
-
-        packed = PackedLineage.of(small_lineage())
-        rng = np.random.default_rng(17)
-        chosen = packed.sample_clauses(rng, 400)
-        uniforms = rng.random((packed.n_events, 400), dtype=np.float32)
-        worlds = uniforms < packed.weights_f32[:, None]
-        packed.force_clauses(worlds, chosen)
-        expected = packed.coverage_hits(worlds, chosen)
-        forced = np.full(packed.n_events, -1, dtype=np.int8)
-        got = _kl_coverage_hits_py(
-            packed.clause_starts,
-            packed.literal_events,
-            packed.literal_polarities.view(np.int8),
-            packed.weights_f32,
-            chosen,
-            uniforms,
-            forced,
-        )
-        assert got == expected
-        assert np.all(forced == -1)  # scratch reset between trials
-
-    def test_numba_backend_matches_numpy(self):
-        from repro.engines._native import HAVE_NUMBA
-
-        if not HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        lineage = small_lineage()
-        jitted = KarpLubySampler(lineage, random.Random(33), "numba")
-        jitted.extend(500)
-        vectorized = KarpLubySampler(lineage, random.Random(33), "numpy")
-        vectorized.extend(500)
-        assert jitted.hits == vectorized.hits
-
 
 class TestStatisticalAgreement:
     @pytest.mark.parametrize(
@@ -287,19 +250,7 @@ class TestBackendPlumbing:
             resolve_backend("cuda")
 
     def test_auto_prefers_fastest_available(self):
-        from repro.engines._native import HAVE_NUMBA
-
-        assert resolve_backend("auto") == (
-            "numba" if HAVE_NUMBA else "numpy"
-        )
-
-    def test_numba_gated_when_absent(self):
-        from repro.engines._native import HAVE_NUMBA
-
-        if HAVE_NUMBA:
-            pytest.skip("numba installed: the gate is open by design")
-        with pytest.raises(RuntimeError):
-            resolve_backend("numba")
+        assert resolve_backend("auto") == "numpy"
 
     def test_answers_intervals_clamped(self):
         # Two independent high-probability clauses: total M = 1.8 > 1,

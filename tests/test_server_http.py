@@ -137,6 +137,28 @@ class TestErrors:
         assert info.value.code == 400
         assert fragment in json.load(info.value)["error"]
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_query_errors_are_400_inline_and_pooled(self, workers):
+        # Errors raised inside a worker process must keep the status
+        # the inline pool gives them, not turn into a 500.
+        pool = ServerPool(make_db(), workers=workers, config=EXACT,
+                          request_timeout=120)
+        cases = [
+            ("/evaluate", "R(x), S(x,y), T(y), z > 3",
+             "query is not range-restricted"),
+            ("/evaluate", "R(x, y)", "relation R has arity 1"),
+            ("/answers", "Q(x) :- S(x)", "relation S has arity 2"),
+        ]
+        with BackgroundServer(pool) as server:
+            for path, query, message in cases:
+                with pytest.raises(urllib.error.HTTPError) as info:
+                    post(server.url + path, {"query": query})
+                assert info.value.code == 400, query
+                assert json.load(info.value)["error"].startswith(message)
+            assert post(server.url + "/evaluate", {"query": "R(x)"})[
+                "probability"
+            ] == pytest.approx(0.8, abs=1e-9)
+
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as info:
             get(server.url + "/nope")

@@ -17,9 +17,6 @@ import pytest
 from repro.core import parse
 from repro.db import ProbabilisticDatabase
 from repro.engines import RouterEngine
-from repro.lineage.boolean import Lineage
-from repro.lineage.grounding import ground_lineage
-from repro.lineage.wmc import exact_probability
 from repro.serve import (
     PoolStats,
     ServerPool,
@@ -113,16 +110,6 @@ class TestInlinePool:
                 pool.update("R", (1,), 1.5)
             assert pool.evaluate("R(x)") == pytest.approx(0.8, abs=1e-9)
 
-    def test_estimate_lineages_inline_matches_engine(self):
-        db = small_db()
-        lineage = ground_lineage(parse("R(x), S(x,y), T(y)"), db)
-        with ServerPool(db, workers=0, config=EXACT) as pool:
-            got = pool.estimate_lineages({"a": lineage}, samples=2000)
-        engine = RouterEngine(
-            exact_fallback=True, mc_seed=1234, mc_samples=2000
-        ).monte_carlo
-        assert got == engine.estimate_lineages({"a": lineage})
-
 
 class TestStatsMerge:
     def test_merged_sums_fields(self):
@@ -161,33 +148,13 @@ class TestMultiprocessPool:
         # k truncation happens at the worker
         assert mp_pool.answers(text, 1) == router.answers(parse(text), db, 1)
 
-    def test_estimate_lineages_scatters_and_is_deterministic(self, mp_pool):
-        db = small_db()
-        lineages = {
-            name: ground_lineage(parse(text), db)
-            for name, text in [
-                ("a", "R(x), S(x,y), T(y)"),
-                ("b", "R(x), S(x,y)"),
-                ("c", "S(x,y), T(y)"),
-            ]
-        }
-        first = mp_pool.estimate_lineages(lineages, samples=4000)
-        second = mp_pool.estimate_lineages(lineages, samples=4000)
-        assert first == second  # seeded per call, deterministic
-        for name, lineage in lineages.items():
-            estimate, half_width = first[name]
-            exact = float(exact_probability(lineage))
-            assert half_width > 0.0
-            assert abs(estimate - exact) <= 5 * half_width
-
     def test_worker_error_propagates(self, mp_pool):
-        # A lineage whose clause mentions an event missing from its
-        # weights faults inside the worker; the front must re-raise.
-        broken = Lineage(
-            frozenset([frozenset([(("R", (1,)), True)])]), weights={}
-        )
-        with pytest.raises(WorkerError):
-            mp_pool.estimate_lineages({"x": broken}, samples=10)
+        # The query fails to ground inside its worker.  A ValueError is
+        # the client's fault, so the front re-raises it as one (the
+        # HTTP front's 400), not as a WorkerError (a 500).
+        with pytest.raises(ValueError, match="not range-restricted") as info:
+            mp_pool.evaluate("R(x), S(x,y), T(y), z > 3")
+        assert not isinstance(info.value, WorkerError)
         # ...and the pool stays serviceable afterwards.
         assert mp_pool.evaluate("R(x)") == pytest.approx(0.8, abs=1e-9)
 
@@ -216,45 +183,126 @@ class TestMultiprocessPool:
             pool.evaluate("R(x)")
 
 
+class _RecordingReader:
+    """A worker reply reader that records which thread closes it."""
+
+    def __init__(self, conn, closers):
+        self._conn = conn
+        self._closers = closers
+
+    def fileno(self):
+        return self._conn.fileno()
+
+    def recv(self):
+        return self._conn.recv()
+
+    def close(self):
+        self._closers.append(threading.current_thread().name)
+        self._conn.close()
+
+
+def _await_respawn(pool):
+    deadline = time.monotonic() + 30
+    while pool.health()["respawns"] == 0:
+        assert time.monotonic() < deadline, "no respawn recorded"
+        time.sleep(0.05)
+
+
 class TestWorkerDeath:
     def test_dead_worker_recovers_inflight_and_later_requests(self):
-        # A worker dying mid-request must neither hang its callers nor
-        # poison the pool: the in-flight estimate completes (inline
-        # fallback or re-dispatch to the respawned worker) and later
-        # requests are served by the supervisor's replacement.
+        # A worker dying mid-request must neither hang its caller nor
+        # poison the pool: the stalled evaluate is re-dispatched to the
+        # respawned worker, and later requests are served by it too.
         pool = ServerPool(
             small_db(), workers=1,
-            config=SessionConfig(mc_seed=1), request_timeout=120,
+            config=SessionConfig(
+                exact_fallback=True, mc_seed=1234,
+                faults="seed=5,stall=1.0,stall_ms=1500",
+            ),
+            request_timeout=120,
         )
-        lineage = ground_lineage(parse("R(x), S(x,y), T(y)"), small_db())
+        text = "R(x), S(x,y), T(y)"
         outcome = {}
 
         def call():
             try:
-                outcome["value"] = pool.estimate_lineages(
-                    {"a": lineage}, samples=2_000_000
-                )
+                outcome["value"] = pool.evaluate(text)
             except Exception as error:  # noqa: BLE001 - surfaced below
                 outcome["error"] = error
 
         try:
             thread = threading.Thread(target=call)
             thread.start()
-            time.sleep(0.5)  # let the message reach the worker
+            time.sleep(0.5)  # the worker is inside its 1.5s stall
             pool._processes[0].terminate()
             thread.join(timeout=120)
             assert not thread.is_alive(), "in-flight future hung"
-            assert "value" in outcome, outcome
-            estimate, half_width = outcome["value"]["a"]
-            assert 0.0 <= estimate <= 1.0 and half_width >= 0.0
-            # Later requests hit the respawned worker, not an error.
+            expected = RouterEngine(exact_fallback=True).probability(
+                parse(text), small_db()
+            )
+            assert outcome.get("value") == pytest.approx(
+                expected, abs=1e-9
+            ), outcome
+            _await_respawn(pool)
             assert pool.evaluate("R(x)") == pytest.approx(0.8, abs=1e-9)
-            deadline = time.monotonic() + 30
-            while pool.health()["respawns"] == 0:
-                assert time.monotonic() < deadline, "no respawn recorded"
-                time.sleep(0.05)
             health = pool.health()
             assert health["ok"] and not health["degraded"]
+        finally:
+            pool.close()
+
+    def test_only_the_collector_closes_reply_readers(self):
+        # The supervisor used to close a dead worker's reply reader
+        # while the collector thread could be inside recv() on it; the
+        # collector then died on an uncaught TypeError and every later
+        # reply went unrouted until its deadline.
+        pool = ServerPool(
+            small_db(), workers=1, config=EXACT, request_timeout=120
+        )
+        closers = []
+        try:
+            assert pool.evaluate("R(x)") == pytest.approx(0.8, abs=1e-9)
+            with pool._lock:
+                pool._reply_readers[0] = _RecordingReader(
+                    pool._reply_readers[0], closers
+                )
+            time.sleep(0.3)  # the collector now waits on the recorder
+            pool._processes[0].terminate()
+            _await_respawn(pool)
+            assert pool.evaluate("R(x)") == pytest.approx(0.8, abs=1e-9)
+            deadline = time.monotonic() + 10
+            while not closers:
+                assert time.monotonic() < deadline, "reader never closed"
+                time.sleep(0.05)
+            assert closers == ["serverpool-collector"]
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("update_log_limit", [512, 0])
+    def test_update_during_respawn_reaches_the_new_worker(
+        self, update_log_limit
+    ):
+        # An update broadcast while the supervisor is spawning the
+        # replacement lands on the dead worker's queue; the replay the
+        # new worker gets must still include it (a log limit of 0 also
+        # compacts the log into a fresh base snapshot meanwhile).
+        pool = ServerPool(
+            small_db(), workers=1, config=EXACT, request_timeout=120,
+            update_log_limit=update_log_limit,
+        )
+        spawn = pool._spawn_worker
+
+        def spawn_then_update(shard, snapshot):
+            spawned = spawn(shard, snapshot)
+            pool.update("R", (1,), 0.9)
+            return spawned
+
+        try:
+            assert pool.evaluate("R(x)") == pytest.approx(0.8, abs=1e-9)
+            pool._spawn_worker = spawn_then_update
+            pool._processes[0].terminate()
+            _await_respawn(pool)
+            # 1 - (1 - 0.9)(1 - 0.6)
+            assert pool.evaluate("R(x)") == pytest.approx(0.96, abs=1e-9)
         finally:
             pool.close()
 
@@ -291,6 +339,37 @@ class TestWorkerDeath:
             assert stats.front_session is not None
         finally:
             pool.close()
+
+
+class TestMonteCarloAcrossProcesses:
+    def test_seeded_estimates_match_inline(self):
+        # With a fixed seed, Monte Carlo answers do not depend on which
+        # process samples them: worker processes hash strings with
+        # their own salt, and the sampler must not see that.
+        db = ProbabilisticDatabase.from_dict({
+            "R": {("a",): 0.5, ("b",): 0.6, ("c",): 0.3},
+            "S": {("a", "x"): 0.7, ("b", "x"): 0.4, ("b", "y"): 0.3,
+                  ("c", "y"): 0.9},
+            "T": {("x",): 0.8, ("y",): 0.2},
+            "V": {("p", "a"): 0.9, ("p", "b"): 0.5, ("q", "b"): 0.7,
+                  ("q", "c"): 0.4, ("r", "c"): 0.6},
+        })
+        # No compiled tier: both queries are #P-hard, so both sample.
+        config = SessionConfig(mc_seed=7, compile_budget=None)
+        results = []
+        for workers in (0, 2):
+            with ServerPool(
+                db.copy(), workers=workers, config=config,
+                request_timeout=120,
+            ) as pool:
+                results.append((
+                    pool.evaluate("R(x), S(x,y), T(y)"),
+                    pool.answers("Q(u) :- V(u,x), S(x,y), T(y)", 2),
+                    pool.stats().combined.fallbacks,
+                ))
+        inline, pooled = results
+        assert inline == pooled
+        assert inline[2] == 2 and len(inline[1]) == 2
 
 
 class TestOutOfBandMutation:

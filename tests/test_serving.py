@@ -10,6 +10,7 @@ cross-query batching of same-shape circuits.
 """
 
 import json
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.db import ProbabilisticDatabase, random_database_for_query
 from repro.engines import RouterEngine
 from repro.lineage.wmc import exact_probability
 from repro.lineage.grounding import ground_lineage
+from repro.lineage.planner import GroundingError
 from repro.serve import QuerySession
 
 #: The query zoo for the matrix: every routing tier is represented
@@ -430,6 +432,29 @@ def test_serve_cli_accepts_json_lines(tmp_path, capsys):
     assert main(["serve", str(database), "--requests", str(requests)]) == 0
     out = capsys.readouterr().out
     assert "p = 0.5000000000" in out and "p = 0.9000000000" in out
+
+
+@pytest.mark.parametrize("kind", ["evaluate", "answers"])
+def test_atom_arity_must_match_the_stored_relation(kind):
+    db = ProbabilisticDatabase.from_dict({"R": {(1,): 0.5}})
+    session = QuerySession(db)
+    router = RouterEngine()
+    serve = getattr(session, kind)
+    route = getattr(router, "probability" if kind == "evaluate" else kind)
+    for text, message in [
+        ("Q(x) :- R(x, y)", "relation R has arity 1, but atom R(x, y)"),
+        ("Q(x) :- R(x), not R(x, 2)", "relation R has arity 1"),
+    ]:
+        with pytest.raises(GroundingError, match=re.escape(message)):
+            serve(text)
+        with pytest.raises(GroundingError, match="relation R has arity 1"):
+            route(parse(text), db)
+    # An absent relation reads as empty; once it exists, the prepared
+    # query is checked against it again.
+    assert serve("Q(x) :- S(x)") in (0.0, [])
+    db.add("S", (1, 2), 0.5)
+    with pytest.raises(GroundingError, match="relation S has arity 2"):
+        serve("Q(x) :- S(x)")
 
 
 def test_serve_cli_jsonl_error_names_the_line(tmp_path, capsys):

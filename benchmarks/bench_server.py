@@ -34,7 +34,7 @@ what prevents unbounded queueing) and shed requests must come back as
 503 + ``Retry-After`` fast — rejection is the cheap path.  **Chaos
 replay**: the mixed workload replays through a 4-worker pool while a
 seeded RNG SIGKILLs a live worker every N accepted requests; the
-supervisor respawns shards from snapshot + update log, and the run
+supervisor respawns shards from a fresh front snapshot, and the run
 must end with zero client-visible errors other than honest 503 sheds
 and every accepted answer agreeing with the fresh router to 1e-9.
 
@@ -338,7 +338,7 @@ def bench_chaos_replay(n_shapes, domain, rounds, kill_every, seed=20260807):
     Replays the mixed workload (updates + Boolean + ranked queries)
     through a 4-worker pool, killing a seeded-random live worker every
     ``kill_every`` accepted requests.  The supervisor must respawn each
-    shard from snapshot + update log; the retry path must absorb the
+    shard from a fresh front snapshot; the retry path must absorb the
     swept in-flight work.  Outcome contract: zero client-visible
     errors other than honest admission sheds (none are expected here —
     no queue bound is set — but they are the only tolerated failure),

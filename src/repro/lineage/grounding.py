@@ -47,6 +47,7 @@ from .planner import (
     GroundingPlan,
     GroundingPlanner,
     StepPlan,
+    check_groundable,
 )
 
 Assignment = Dict[Variable, object]
@@ -142,17 +143,22 @@ def _cq_holds(
 
 
 def check_arities(query: AnyQuery, db: ProbabilisticDatabase) -> None:
-    """Reject an atom whose arity differs from its stored relation's.
+    """Reject a query that no tier can answer as written over ``db``.
 
-    Runs before any engine sees the query: without it a too-wide atom
-    indexes past the end of the stored rows and a too-narrow one
-    silently matches nothing.  A relation absent from ``db`` reads as
-    empty whatever the atom's arity.
+    Runs before any engine sees the query.  Every disjunct must be
+    range-restricted: the safe plan would otherwise ignore a predicate
+    on a variable nothing binds, where grounding rejects the query.
+    Every atom's arity must match its stored relation's: without that a
+    too-wide atom indexes past the end of the stored rows and a
+    too-narrow one silently matches nothing.  A relation absent from
+    ``db`` reads as empty whatever the atom's arity.
 
     Raises:
-        GroundingError: naming the relation, its arity and the atom's.
+        GroundingError: the query is not range-restricted, or an atom's
+            arity differs from its relation's (naming both arities).
     """
     for disjunct in disjuncts_of(query):
+        check_groundable(disjunct, disjunct.positive_atoms)
         for atom in disjunct.atoms:
             if not db.has_relation(atom.relation):
                 continue

@@ -87,6 +87,7 @@ __all__ = [
     "JoinGraph",
     "StepPlan",
     "build_join_graph",
+    "check_groundable",
 ]
 
 
@@ -351,7 +352,7 @@ class GroundingPlanner:
         """
         mode = mode or self.mode
         positive = [a for a in clause.atoms if not a.negated]
-        _check_groundable(clause, positive)
+        check_groundable(clause, positive)
         key = (
             clause, distinct, mode,
             tuple(
@@ -416,9 +417,15 @@ DEFAULT_PLANNER = GroundingPlanner()
 # ----------------------------------------------------------------------
 
 
-def _check_groundable(
+def check_groundable(
     clause: ConjunctiveQuery, positive: Sequence[Atom]
 ) -> None:
+    """Reject a clause that is not range-restricted.
+
+    Raises:
+        GroundingError: a variable occurs only in negated sub-goals or
+            predicates (``positive`` holds the clause's positive atoms).
+    """
     restricted: Set[Variable] = set()
     for atom in positive:
         restricted.update(atom.variables)
@@ -556,7 +563,7 @@ def _cost_plan(
         frontier_size *= max(estimate, 1.0)
         bound = newly_bound
     # Predicates whose variables nothing binds were rejected by
-    # _check_groundable; anything still pending is ground — evaluated
+    # check_groundable; anything still pending is ground — evaluated
     # before the search starts (attach to an empty-step plan).
     steps_tuple = tuple(steps)
     if pending and steps_tuple:

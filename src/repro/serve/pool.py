@@ -18,22 +18,26 @@ traffic.  The moving parts:
   ``answers_many`` message, so in-flight same-shape requests coalesce
   into a single vectorized circuit sweep inside the worker.
 
-* **Version broadcast.**  Each worker holds a replica of the database.
-  :meth:`ServerPool.update` validates against the front copy, then
-  broadcasts the delta to every worker queue; per-queue FIFO order
-  guarantees any request submitted after ``update`` returns observes
-  it.  Direct mutations of the front database (not through the pool)
-  are detected by version drift and repaired with a full snapshot
-  broadcast before the next dispatch.
+* **Replicas.**  Each worker holds a replica of the database: a
+  snapshot of the front database plus every message on its queue
+  after that snapshot.  :meth:`ServerPool.update` applies the change
+  to the front copy (so a bad update raises there), then broadcasts
+  the delta to every worker queue; per-queue FIFO order guarantees any
+  request submitted after ``update`` returns observes it.  Direct
+  mutations of the front database (not through the pool) are detected
+  by version drift and repaired with a full snapshot broadcast before
+  the next dispatch.
 
 * **Supervision and respawn.**  Every worker exit (crash, OOM kill,
-  injected fault) wakes a supervisor that reaps the shard, respawns it
-  from the pool's base snapshot plus a bounded update log (replaying
-  whatever FIFO broadcast the dead worker missed), and re-dispatches
-  the shard's in-flight requests to the fresh process — callers see
+  injected fault) wakes a supervisor that reaps the shard.  In the
+  same lock hold that sweeps the dead shard it snapshots the front
+  database and installs the replacement's queue, so every later
+  update, sync and re-dispatched request lands behind that snapshot;
+  the process itself starts outside the lock.  The shard's in-flight
+  requests are re-dispatched to the fresh process — callers see
   latency, not errors.  A crash-looping shard (too many deaths inside
-  :attr:`respawn_window` seconds) degrades to inline evaluation on the
-  front instead of poisoning the pool.  Replies travel over per-worker
+  :attr:`respawn_window` seconds) degrades to the front session
+  instead of poisoning the pool.  Replies travel over per-worker
   pipes, so a worker killed mid-reply corrupts only its own channel —
   never a shared result queue.
 
@@ -49,9 +53,10 @@ Monte Carlo work needs no pool machinery of its own: an unsafe query
 is sampled inside the worker that owns its shape, like every other
 request.
 
-``workers=0`` runs everything inline on one lock-guarded session in
-this process — same API, no subprocesses — which keeps doctests, small
-deployments and fork-less platforms simple::
+``workers=0`` serves everything on the front session — the one
+lock-guarded session in this process that also serves degraded shards
+— same API, no subprocesses, which keeps doctests, small deployments
+and fork-less platforms simple::
 
     >>> from repro.db.database import ProbabilisticDatabase
     >>> db = ProbabilisticDatabase.from_dict(
@@ -212,9 +217,10 @@ class PoolStats:
     sheds: int = 0
     #: Worker processes respawned by the supervisor.
     respawns: int = 0
-    #: Shards degraded to inline front evaluation after crash-looping.
+    #: Shards degraded to the front session after crash-looping.
     degraded: List[int] = field(default_factory=list)
-    #: The front's fallback session (serves degraded shards), if built.
+    #: The front session serving degraded shards, if built (with
+    #: ``workers=0`` it is the one entry of ``workers`` instead).
     front_session: Optional[SessionStats] = None
 
     @property
@@ -252,16 +258,16 @@ class PoolStats:
 # its own channel, which the supervisor discards on respawn).  "update",
 # "sync" and "configure" are fire-and-forget (the front validated them
 # already); everything else is answered at most once — the reply is
-# deliberately suppressed under the "drop" fault.  Failure replies are
-# ("error" | "invalid" | "timeout", message) pairs so deadline expiry
-# inside the worker surfaces as PoolTimeoutError and a client error as
-# ValueError, not WorkerError.
+# deliberately suppressed under the "drop" fault.  A failure reply
+# carries a _Failure, so deadline expiry inside the worker surfaces as
+# PoolTimeoutError and a client error as ValueError, not WorkerError.
+# A batch reply carries one value per item, or an item's own _Failure.
 
 _STOP = "stop"
 
 #: Ops whose payload is ``(items, deadline)`` — the worker drops the
 #: whole batch unanswered-as-timeout when every deadline has passed.
-_DEADLINE_OPS = frozenset({"evaluate_many", "answers_many"})
+_BATCH_OPS = frozenset({"evaluate_many", "answers_many"})
 
 
 def _worker_main(config, snapshot, request_queue, reply, worker_index) -> None:
@@ -291,7 +297,7 @@ def _worker_main(config, snapshot, request_queue, reply, worker_index) -> None:
             session = config.build_session(db, metrics=session.metrics)
             session.stats = stats
             continue
-        if op in _DEADLINE_OPS:
+        if op in _BATCH_OPS:
             deadline = payload[1]
             if deadline is not None and time.time() > deadline:
                 # The batch expired while queued — don't burn compute
@@ -299,46 +305,95 @@ def _worker_main(config, snapshot, request_queue, reply, worker_index) -> None:
                 if fault != "drop":
                     reply.send((
                         request_id, False,
-                        ("timeout", "deadline expired in worker queue"),
+                        _Failure("timeout", "deadline expired in worker queue"),
                     ))
                 continue
         try:
             result = _worker_execute(session, op, payload)
         except Exception as error:  # noqa: BLE001 - forwarded to the front
             if fault != "drop":
-                reply.send((request_id, False, _error_reply(error)))
+                reply.send((request_id, False, _Failure.of(error)))
         else:
             if fault != "drop":
                 reply.send((request_id, True, result))
 
 
-def _error_reply(error: Exception) -> tuple:
-    """The failure payload for an exception raised by a worker op.
+@dataclass(frozen=True)
+class _Failure:
+    """A worker op's failure: the whole reply, or one batch item's."""
 
-    A :class:`ValueError` is the client's fault (bad query, wrong
-    arity), so it travels as ``"invalid"`` with its bare message and the
-    front re-raises a ``ValueError`` — the same 400 an inline pool gives.
-    """
-    if isinstance(error, ValueError):
-        return ("invalid", str(error))
-    return ("error", f"{type(error).__name__}: {error}")
+    kind: str  # "error" | "invalid" | "timeout"
+    text: str
+
+    @classmethod
+    def of(cls, error: Exception) -> "_Failure":
+        """The failure for an exception raised by a worker op.
+
+        A :class:`ValueError` is the client's fault (bad query, wrong
+        arity), so it travels as ``"invalid"`` with its bare message and
+        the front re-raises a ``ValueError`` — the same 400 an inline
+        pool gives.
+        """
+        if isinstance(error, ValueError):
+            return cls("invalid", str(error))
+        return cls("error", f"{type(error).__name__}: {error}")
+
+    def exception(self) -> Exception:
+        if self.kind == "timeout":
+            return PoolTimeoutError(self.text)
+        if self.kind == "invalid":
+            return ValueError(self.text)
+        return WorkerError(self.text)
+
+
+def _resolve_items(futures: List[Future], values: list) -> None:
+    """Resolve each future with its own value or its own failure."""
+    for future, value in zip(futures, values):
+        if future.done():
+            continue
+        if isinstance(value, _Failure):
+            future.set_exception(value.exception())
+        else:
+            future.set_result(value)
 
 
 def _worker_execute(session: QuerySession, op: str, payload):
-    if op == "evaluate_many":
-        return session.evaluate_many(payload[0])
-    if op == "answers_many":
+    """Run one worker op on ``session``.
+
+    A batch of several items runs as one call, so same-shape items
+    share one sweep.  If that call raises, each item runs on its own
+    and a failed item answers with its own :class:`_Failure`.
+    """
+    if op in _BATCH_OPS:
         items = payload[0]
-        rankings = session.answers_many([query for query, _k in items])
-        return [
-            ranking if k is None else ranking[:k]
-            for (_query, k), ranking in zip(items, rankings)
-        ]
+        if len(items) > 1:
+            try:
+                return _run_batch(session, op, items)
+            except Exception:  # noqa: BLE001 - isolated per item below
+                pass
+        return [_run_item(session, op, item) for item in items]
     if op == "stats":
         return session.stats
     if op == "metrics":
         return session.metrics.snapshot()
     raise ValueError(f"unknown worker op {op!r}")
+
+
+def _run_batch(session: QuerySession, op: str, items) -> list:
+    if op == "evaluate_many":
+        return session.evaluate_many(items)
+    rankings = session.answers_many([query for query, _k in items])
+    return [
+        ranking if k is None else ranking[:k]
+        for (_query, k), ranking in zip(items, rankings)
+    ]
+
+
+def _run_item(session: QuerySession, op: str, item):
+    try:
+        return _run_batch(session, op, [item])[0]
+    except Exception as error:  # noqa: BLE001 - this item's own failure
+        return _Failure.of(error)
 
 
 @dataclass
@@ -372,8 +427,9 @@ class ServerPool:
         db: the authoritative database.  Mutate it through
             :meth:`update` to get incremental broadcast; direct
             mutation is tolerated but costs a full re-sync.
-        workers: number of worker processes; ``0`` serves inline from
-            this process (one lock-guarded session, no subprocesses).
+        workers: number of worker processes; ``0`` serves everything
+            on the front session (one lock-guarded session in this
+            process, no subprocesses).
         config: per-worker :class:`SessionConfig`; defaults match
             :class:`QuerySession` defaults.
         start_method: :mod:`multiprocessing` start method.  The default
@@ -394,11 +450,8 @@ class ServerPool:
             None disables shedding.
         respawn_limit / respawn_window: a shard dying more than
             ``respawn_limit`` times within ``respawn_window`` seconds
-            is crash-looping: it degrades to inline evaluation on the
-            front instead of respawning again.
-        update_log_limit: bound on the replay log used to rehydrate
-            respawned workers; exceeding it refreshes the base snapshot
-            and clears the log.
+            is crash-looping: it degrades to the front session instead
+            of respawning again.
         overload_threshold: queue-wait EWMA (seconds) above which the
             pool enters overload mode and clamps every worker's Monte
             Carlo sample budget (``overload_samples``, default a tenth
@@ -424,7 +477,6 @@ class ServerPool:
         max_queue_depth: Optional[int] = None,
         respawn_limit: int = 3,
         respawn_window: float = 30.0,
-        update_log_limit: int = 512,
         overload_threshold: Optional[float] = None,
         overload_samples: Optional[int] = None,
         scatter_policy: object = None,  # ignored: perfbench/run.py still passes it
@@ -448,7 +500,6 @@ class ServerPool:
         self.max_queue_depth = max_queue_depth
         self.respawn_limit = respawn_limit
         self.respawn_window = respawn_window
-        self.update_log_limit = update_log_limit
         self.overload_threshold = overload_threshold
         self.overload_samples = overload_samples
         #: Queue-wait smoothing that drives the overload detector.
@@ -516,39 +567,34 @@ class ServerPool:
             "Overload mode transitions",
             ("state",),
         )
-        #: Fallback serving for degraded shards (and twice-failed
-        #: retries): one lock-guarded session over the authoritative
-        #: front database, built lazily on first degrade.
-        self._fallback: Optional[QuerySession] = None
-        self._fallback_lock = threading.RLock()
+        #: The front session: one session over ``self.db`` serving
+        #: every request when ``workers == 0``, and degraded shards and
+        #: twice-orphaned batches otherwise (built on first use).  Its
+        #: version-snapshot invalidation sees every change to
+        #: ``self.db``, which the pool makes only under ``_front_lock``.
+        #: Lock order: ``_lock`` before ``_front_lock``.
+        self._front: Optional[QuerySession] = None
+        self._front_lock = threading.RLock()
+        #: One queue per shard; None once the shard is degraded.
+        self._request_queues: List[Optional[object]] = []
+        self._degraded = [False] * workers
+        self._synced_versions = (db.structure_version, db.version)
         if workers == 0:
-            self._session: Optional[QuerySession] = (
-                self.config.build_session(db, metrics=self.metrics)
-            )
-            self._session_lock = threading.RLock()
+            self._front = self.config.build_session(db, metrics=self.metrics)
             return
-        self._session = None
         import multiprocessing
 
         self._ctx = multiprocessing.get_context(start_method)
         snapshot = db.snapshot()
-        #: Respawn rehydration state: base snapshot + the updates
-        #: broadcast since it was taken.  ``base + log`` always equals
-        #: the current front database, so a respawned worker replays
-        #: exactly the FIFO traffic its predecessor missed.
-        self._log_snapshot = snapshot
-        self._update_log: Deque[tuple] = deque()
-        self._request_queues = []
+        self._request_queues = [self._ctx.Queue() for _ in range(workers)]
         self._reply_readers: List[Optional[object]] = []
         #: Readers of dead workers, waiting for the collector to close them.
         self._detached_readers: List[object] = []
         self._processes = []
-        for shard in range(workers):
-            queue, process, reader = self._spawn_worker(shard, snapshot)
-            self._request_queues.append(queue)
+        for shard, queue in enumerate(self._request_queues):
+            process, reader = self._spawn_worker(shard, snapshot, queue)
             self._processes.append(process)
             self._reply_readers.append(reader)
-        self._synced_versions = (db.structure_version, db.version)
         #: request id -> in-flight record for dispatched messages.
         self._pending: Dict[int, _Inflight] = {}
         self._ids = itertools.count()
@@ -557,7 +603,6 @@ class ServerPool:
         #: Unresolved items per shard (buffered + dispatched) — the
         #: admission counter behind ``max_queue_depth``.
         self._shard_load = [0] * workers
-        self._degraded = [False] * workers
         self._deaths: List[Deque[float]] = [deque() for _ in range(workers)]
         self._last_exit: List[Optional[int]] = [None] * workers
         self._collector_stop = False
@@ -570,9 +615,8 @@ class ServerPool:
         )
         self._supervisor.start()
 
-    def _spawn_worker(self, shard: int, snapshot) -> tuple:
-        """Start one worker process; returns (queue, process, reader)."""
-        queue = self._ctx.Queue()
+    def _spawn_worker(self, shard: int, snapshot, queue) -> tuple:
+        """Start one worker on ``queue``; returns (process, reader)."""
         reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
@@ -584,7 +628,7 @@ class ServerPool:
         # dies, the pipe EOFs and the collector can tell a truncated
         # reply from a pending one.
         writer.close()
-        return queue, process, reader
+        return process, reader
 
     # ------------------------------------------------------------------
     # Public request API
@@ -737,26 +781,19 @@ class ServerPool:
     ) -> None:
         """Insert or re-weight one tuple, broadcast to every worker.
 
-        Validation happens on the front copy first, so a bad update
+        The change lands on the front copy first, so a bad update
         raises here and never reaches (or diverges) the replicas.
         After this returns, every subsequently submitted request
-        observes the change (per-worker queues are FIFO).  The update
-        also lands in the bounded replay log, so a worker respawned
-        later still observes it.
+        observes the change (per-worker queues are FIFO), and a worker
+        respawned later has it in its snapshot.
         """
-        if self._session is not None:
-            self._check_open()
-            with self._session_lock:
-                self._session.update(relation, tuple(row), probability)
-            with self._lock:
-                self._updates += 1
-            return
+        row = tuple(row)
         with self._lock:
             self._check_open()
             self._ensure_synced_locked()
-            self.db.add(relation, tuple(row), probability)
-            payload = (relation, tuple(row), probability)
-            message = ("update", None, payload)
+            with self._front_lock:
+                self.db.add(relation, row, probability)
+            message = ("update", None, (relation, row, probability))
             for queue in self._request_queues:
                 if queue is not None:
                     queue.put(message)
@@ -764,12 +801,6 @@ class ServerPool:
                 self.db.structure_version, self.db.version
             )
             self._updates += 1
-            self._update_log.append(payload)
-            if len(self._update_log) > self.update_log_limit:
-                # Compact: fold the log into a fresh base snapshot so
-                # respawn replay stays O(update_log_limit).
-                self._log_snapshot = self.db.snapshot()
-                self._update_log.clear()
 
     def stats(self) -> PoolStats:
         """Aggregate per-worker :class:`SessionStats` plus front counters."""
@@ -783,42 +814,20 @@ class ServerPool:
                 timeouts=self._timeouts,
                 sheds=self._sheds,
                 respawns=self._respawns,
+                degraded=[
+                    shard for shard, degraded in enumerate(self._degraded)
+                    if degraded
+                ],
             )
-            if self._session is None:
-                front.degraded = [
-                    shard for shard in range(self.workers)
-                    if self._degraded[shard]
-                ]
-            fallback = self._fallback
-        if fallback is not None:
-            front.front_session = fallback.stats
-        if self._session is not None:
-            front.workers = [self._session.stats]
+        if not self.workers:
+            front.workers = [self._front.stats]
             return front
-        futures = []
-        with self._lock:
-            self._check_open()
-            for shard in range(self.workers):
-                if self._degraded[shard]:
-                    futures.append(None)
-                    continue
-                future = Future()
-                request_id = next(self._ids)
-                self._pending[request_id] = _Inflight(
-                    "stats", [future], shard
-                )
-                self._request_queues[shard].put(("stats", request_id, None))
-                futures.append(future)
-        workers = []
-        for future in futures:
-            if future is None:
-                workers.append(SessionStats())
-                continue
-            try:
-                workers.append(self._result(future, self.request_timeout))
-            except (WorkerDiedError, PoolTimeoutError):
-                workers.append(SessionStats())
-        front.workers = workers
+        if self._front is not None:
+            front.front_session = self._front.stats
+        front.workers = [
+            stats if stats is not None else SessionStats()
+            for stats in self._probe("stats")
+        ]
         return front
 
     def metrics_snapshot(self) -> dict:
@@ -834,30 +843,46 @@ class ServerPool:
         worker did.
         """
         snapshots = [self.metrics.snapshot()]
-        if self._session is None:
-            futures = []
-            with self._lock:
-                self._check_open()
-                for shard in range(self.workers):
-                    if self._degraded[shard]:
-                        continue
-                    future = Future()
-                    request_id = next(self._ids)
-                    self._pending[request_id] = _Inflight(
-                        "metrics", [future], shard
-                    )
-                    self._request_queues[shard].put(
-                        ("metrics", request_id, None)
-                    )
-                    futures.append(future)
-            for future in futures:
-                try:
-                    snapshots.append(
-                        self._result(future, self.request_timeout)
-                    )
-                except (WorkerDiedError, PoolTimeoutError):
-                    continue
+        if self.workers:
+            snapshots += [
+                snapshot for snapshot in self._probe("metrics")
+                if snapshot is not None
+            ]
         return merge_snapshots(*snapshots)
+
+    def _probe(self, op: str) -> list:
+        """Ask every shard for its ``"stats"`` or ``"metrics"``.
+
+        One reply per shard, None where it is degraded, died or timed
+        out: a probe must not fail because a worker did.
+        """
+        with self._lock:
+            self._check_open()
+            futures = self._send_to_shards_locked(op)
+        replies = []
+        for future in futures:
+            try:
+                replies.append(
+                    None if future is None
+                    else self._result(future, self.request_timeout)
+                )
+            except (WorkerDiedError, PoolTimeoutError):
+                replies.append(None)
+        return replies
+
+    def _send_to_shards_locked(self, op: str) -> List[Optional[Future]]:
+        """Send ``op`` to every shard; one future each (None if degraded)."""
+        futures: List[Optional[Future]] = []
+        for shard, queue in enumerate(self._request_queues):
+            if queue is None:
+                futures.append(None)
+                continue
+            future = Future()
+            request_id = next(self._ids)
+            self._pending[request_id] = _Inflight(op, [future], shard)
+            queue.put((op, request_id, None))
+            futures.append(future)
+        return futures
 
     def health(self) -> dict:
         """Liveness report: overall ``ok`` plus per-shard worker status.
@@ -867,7 +892,7 @@ class ServerPool:
         conjunction, with ``degraded`` listed separately so a scraper
         can tell "healthy", "degraded but serving" and "closed" apart.
         """
-        if self._session is not None:
+        if not self.workers:
             return {
                 "ok": not self._closed,
                 "mode": "inline",
@@ -913,25 +938,13 @@ class ServerPool:
         Idempotent.  Stop messages queue *behind* all previously
         submitted work, so in-flight requests complete first.
         """
-        if self._session is not None:
-            self._closed = True
-            return
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            futures = []
-            for shard in range(self.workers):
-                if self._degraded[shard]:
-                    futures.append(None)
-                    continue
-                future = Future()
-                request_id = next(self._ids)
-                self._pending[request_id] = _Inflight(
-                    _STOP, [future], shard
-                )
-                self._request_queues[shard].put((_STOP, request_id, None))
-                futures.append(future)
+            if not self.workers:
+                return
+            futures = self._send_to_shards_locked(_STOP)
         for future, process in zip(futures, self._processes):
             if future is None:
                 continue
@@ -987,36 +1000,32 @@ class ServerPool:
         other threads that land in a touched buffer meanwhile are
         flushed by whichever driver reaches them first.  Items whose
         shard is over ``max_queue_depth`` are shed immediately; items
-        whose shard is degraded are served inline on the front.
+        with no live shard (every item when ``workers == 0``, or one
+        whose shard is degraded) are served on the front session.
         """
         parsed = [
             (kind, self._parse(query), k) for kind, query, k in items
         ]
         deadline = time.time() + timeout if timeout is not None else None
         futures: List[Future] = []
-        if self._session is not None:
-            self._check_open()
-            for kind, query, k in parsed:
-                future: Future = Future()
-                self._serve_with_session(
-                    self._session, self._session_lock, kind, query, k, future
-                )
-                futures.append(future)
-            return futures
         to_drive = []
-        inline: List[Tuple[str, AnyQuery, Optional[int], Future]] = []
+        front: List[Tuple[str, AnyQuery, Optional[int], Future]] = []
         with self._lock:
             self._check_open()
             self._ensure_synced_locked()
             for kind, query, k in parsed:
-                shape = canonical_string(
-                    query.boolean() if kind == "evaluate" else query
-                )
-                shard = shard_of(shape, self.workers)
                 future = Future()
                 futures.append(future)
+                shard = None
+                if self.workers:
+                    shape = canonical_string(
+                        query.boolean() if kind == "evaluate" else query
+                    )
+                    shard = shard_of(shape, self.workers)
+                    if self._degraded[shard]:
+                        shard = None
                 if (
-                    not self._degraded[shard]
+                    shard is not None
                     and self.max_queue_depth is not None
                     and self._shard_load[shard] >= self.max_queue_depth
                 ):
@@ -1032,9 +1041,9 @@ class ServerPool:
                 self._requests += 1
                 self._metric_requests.labels(kind).inc()
                 self._metric_inflight.inc()
-                if self._degraded[shard]:
+                if shard is None:
                     future.add_done_callback(self._request_done)
-                    inline.append((kind, query, k, future))
+                    front.append((kind, query, k, future))
                     continue
                 self._shard_load[shard] += 1
                 future.add_done_callback(
@@ -1048,60 +1057,32 @@ class ServerPool:
                 if not self._driving[shard]:
                     self._driving[shard] = True
                     to_drive.append(shard)
-        for kind, query, k, future in inline:
-            self._serve_fallback(kind, query, k, future)
+        for kind, query, k, future in front:
+            self._serve_front(kind, query, k, future)
         for shard in to_drive:
             self._drive(shard)
         return futures
 
-    def _fallback_session(self) -> QuerySession:
-        """The front's own session over the authoritative database.
-
-        Serves degraded shards and twice-failed retries.  Reads
-        ``self.db`` directly — updates keep flowing through
-        :meth:`update`, and the session's version-snapshot invalidation
-        picks them up exactly as a worker replica would.
-        """
-        with self._fallback_lock:
-            if self._fallback is None:
-                self._fallback = self.config.build_session(
+    def _front_session(self) -> QuerySession:
+        """The front session, built on first use."""
+        with self._front_lock:
+            if self._front is None:
+                self._front = self.config.build_session(
                     self.db, metrics=self.metrics
                 )
-            return self._fallback
+            return self._front
 
-    def _serve_fallback(
+    def _serve_front(
         self, kind: str, query: AnyQuery, k: Optional[int],
         future: Future,
     ) -> None:
-        session = self._fallback_session()
+        """Answer one request on the front session (no coalescing)."""
         with self._lock:
             self._batches += 1
         self._metric_batch_size.observe(1)
-        self._execute_with_session(
-            session, self._fallback_lock, kind, query, k, future
-        )
-
-    def _serve_with_session(
-        self, session, lock, kind: str, query: AnyQuery,
-        k: Optional[int], future: Future,
-    ) -> None:
-        """The inline (workers=0) request path."""
-        with self._lock:
-            self._requests += 1
-            self._batches += 1
-        self._metric_requests.labels(kind).inc()
-        self._metric_inflight.inc()
-        self._metric_batch_size.observe(1)  # inline: no coalescing front
-        future.add_done_callback(self._request_done)
-        self._execute_with_session(session, lock, kind, query, k, future)
-
-    @staticmethod
-    def _execute_with_session(
-        session, lock, kind: str, query: AnyQuery,
-        k: Optional[int], future: Future,
-    ) -> None:
         try:
-            with lock:
+            with self._front_lock:
+                session = self._front_session()
                 if kind == "evaluate":
                     result = session.evaluate(query)
                 else:
@@ -1161,7 +1142,7 @@ class ServerPool:
         evaluates = [item for item in batch if item.kind == "evaluate"]
         answers = [item for item in batch if item.kind == "answers"]
         error = None
-        fallback_items: List[_PendingItem] = []
+        front_items: List[_PendingItem] = []
         with self._lock:
             for wait in waits:
                 self._wait_ewma.observe(wait)
@@ -1176,8 +1157,8 @@ class ServerPool:
             elif self._request_queues[shard] is None:
                 # Degraded while this batch was parked: the supervisor
                 # swept the buffer before we popped it, or raced us —
-                # serve the batch on the fallback session instead.
-                fallback_items = evaluates + answers
+                # serve the batch on the front session instead.
+                front_items = evaluates + answers
             else:
                 for kind, items in (
                     ("evaluate", evaluates), ("answers", answers)
@@ -1210,8 +1191,8 @@ class ServerPool:
             for item in batch:
                 if not item.future.done():
                     item.future.set_exception(error)
-        for item in fallback_items:
-            self._serve_fallback(item.kind, item.query, item.k, item.future)
+        for item in front_items:
+            self._serve_front(item.kind, item.query, item.k, item.future)
 
     def _check_overload_locked(self) -> None:
         """Enter/leave overload mode from the queue-wait EWMA.
@@ -1243,17 +1224,21 @@ class ServerPool:
 
     def _broadcast_samples_locked(self, samples: int) -> None:
         message = ("configure", None, {"mc_samples": samples})
-        for shard, queue in enumerate(self._request_queues):
-            if queue is not None and not self._degraded[shard]:
+        for queue in self._request_queues:
+            if queue is not None:
                 queue.put(message)
-        if self._fallback is not None:
-            with self._fallback_lock:
-                self._fallback.set_sample_budget(samples)
+        if self._front is not None:
+            with self._front_lock:
+                self._front.set_sample_budget(samples)
 
     def _ensure_synced_locked(self) -> None:
-        """Repair replicas after out-of-band front-db mutation."""
+        """Repair replicas after out-of-band front-db mutation.
+
+        Only a broadcast marks replicas synced: a worker respawned since
+        the mutation has it in its snapshot, but its peers do not.
+        """
         current = (self.db.structure_version, self.db.version)
-        if current == self._synced_versions:
+        if not self.workers or current == self._synced_versions:
             return
         snapshot = self.db.snapshot()
         for queue in self._request_queues:
@@ -1261,16 +1246,13 @@ class ServerPool:
                 queue.put(("sync", None, snapshot))
         self._synced_versions = current
         self._syncs += 1
-        # The sync IS a fresh base state: respawn replay starts over.
-        self._log_snapshot = snapshot
-        self._update_log.clear()
 
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("ServerPool is closed")
 
     # ------------------------------------------------------------------
-    # Supervision: reap, respawn, rehydrate, degrade
+    # Supervision: reap, respawn, degrade
     # ------------------------------------------------------------------
 
     def _supervise(self) -> None:
@@ -1299,8 +1281,13 @@ class ServerPool:
                 self._reap(sentinels[sentinel])
 
     def _reap(self, shard: int) -> None:
-        """Handle one worker exit: sweep, then respawn or degrade."""
-        respawned = None
+        """Handle one worker exit: sweep, then respawn or degrade.
+
+        The replacement's snapshot is taken and its queue installed in
+        the lock hold that sweeps the dead shard, so everything sent
+        from then on lands behind the snapshot, even while the process
+        is still starting (outside the lock).
+        """
         with self._lock:
             if self._closed or self._degraded[shard]:
                 return
@@ -1314,82 +1301,57 @@ class ServerPool:
             deaths.append(now)
             while deaths and now - deaths[0] > self.respawn_window:
                 deaths.popleft()
-            crash_looping = len(deaths) > self.respawn_limit
             # Sweep everything in flight on this shard; replies will
             # never come (and anything still parked in the dead queue
             # is discarded with it).
             swept = [
-                (request_id, entry)
+                self._pending.pop(request_id)
                 for request_id, entry in list(self._pending.items())
                 if entry.shard == shard
             ]
-            for request_id, _entry in swept:
-                del self._pending[request_id]
             buffered = self._buffers[shard]
             self._buffers[shard] = []
             self._detach_reader_locked(shard)
-            if crash_looping:
+            self._request_queues[shard].close()
+            queue = None
+            if len(deaths) > self.respawn_limit:
                 self._degraded[shard] = True
-                self._request_queues[shard].close()
-                self._request_queues[shard] = None
                 self._metric_degraded.set(sum(self._degraded))
             else:
-                snapshot = self._log_snapshot
+                snapshot = self.db.snapshot()
+                queue = self._ctx.Queue()
                 self._respawns += 1
                 self._metric_respawns.labels(str(shard)).inc()
-        if not crash_looping:
-            queue, process, reader = self._spawn_worker(shard, snapshot)
+            self._request_queues[shard] = queue
+        if queue is not None:
+            process, reader = self._spawn_worker(shard, snapshot, queue)
             with self._lock:
                 if self._closed:
+                    process.terminate()
                     queue.close()
                     reader.close()
-                    process.terminate()
                     return
-                # Rehydrate: the ctor loaded the base snapshot; replay
-                # the log as it stands *now*, so updates broadcast to
-                # the dead queue while this worker spawned are not
-                # lost.  A sync or log compaction meanwhile replaced
-                # the base — ship the new one first.  Enqueued before
-                # anything else can reach the new queue (we hold the
-                # lock), so every re-dispatched request observes
-                # current state.
-                if self._log_snapshot is not snapshot:
-                    queue.put(("sync", None, self._log_snapshot))
-                for payload in self._update_log:
-                    queue.put(("update", None, payload))
-                self._request_queues[shard] = queue
                 self._processes[shard] = process
                 self._reply_readers[shard] = reader
-                # Requests registered between the sweep and this
-                # install went onto the dead worker's queue — sweep
-                # them too so they are re-dispatched on the fresh one.
-                window = [
-                    (request_id, entry)
-                    for request_id, entry in list(self._pending.items())
-                    if entry.shard == shard
-                ]
-                for request_id, _entry in window:
-                    del self._pending[request_id]
-                swept = swept + window
-                respawned = queue
-        self._resolve_swept(shard, swept, buffered, respawned)
+        self._resolve_swept(shard, swept, buffered, queue)
 
     def _resolve_swept(
-        self, shard: int, swept, buffered: List[_PendingItem], queue
+        self, shard: int, swept: List[_Inflight],
+        buffered: List[_PendingItem], queue,
     ) -> None:
         """Give every orphaned request a second life (or an honest end).
 
         First-time casualties of a respawned shard are re-dispatched to
         the fresh worker; anything orphaned twice — or orphaned by a
-        degraded shard — is served inline on the front (queries) or
+        degraded shard — is served on the front session (queries) or
         failed with :class:`WorkerDiedError` (stats and metrics probes,
         whose callers skip the shard).
         """
-        redispatch_ops = ("evaluate_many", "answers_many", "stats", "metrics")
-        inline_batches: List[Tuple[str, object, List[Future]]] = []
+        redispatch_ops = _BATCH_OPS | {"stats", "metrics"}
+        front_batches: List[_Inflight] = []
         orphans: List[Future] = []
         with self._lock:
-            for _request_id, entry in swept:
+            for entry in swept:
                 if entry.op == _STOP:
                     continue
                 if (
@@ -1402,10 +1364,8 @@ class ServerPool:
                     self._pending[request_id] = entry
                     queue.put((entry.op, request_id, entry.payload))
                     continue
-                if entry.op in ("evaluate_many", "answers_many"):
-                    inline_batches.append(
-                        (entry.op, entry.payload, entry.futures)
-                    )
+                if entry.op in _BATCH_OPS:
+                    front_batches.append(entry)
                     continue
                 orphans.extend(entry.futures)
         if orphans:
@@ -1418,10 +1378,10 @@ class ServerPool:
             for future in orphans:
                 if not future.done():
                     future.set_exception(error)
+        for entry in front_batches:
+            self._serve_swept_inline(entry.op, entry.payload, entry.futures)
         # Buffered (never-dispatched) items re-enter the normal path:
-        # onto the fresh worker, or the fallback session if degraded.
-        for op, payload, futures in inline_batches:
-            self._serve_swept_inline(op, payload, futures)
+        # onto the fresh worker, or the front session if degraded.
         if queue is not None:
             if buffered:
                 with self._lock:
@@ -1433,22 +1393,13 @@ class ServerPool:
                     self._drive(shard)
         else:
             for item in buffered:
-                self._serve_fallback(item.kind, item.query, item.k, item.future)
+                self._serve_front(item.kind, item.query, item.k, item.future)
 
     def _serve_swept_inline(self, op, payload, futures: List[Future]) -> None:
-        """Answer an orphaned worker batch from the fallback session."""
-        session = self._fallback_session()
-        try:
-            with self._fallback_lock:
-                result = _worker_execute(session, op, payload)
-        except Exception as error:  # noqa: BLE001 - delivered via futures
-            for future in futures:
-                if not future.done():
-                    future.set_exception(error)
-            return
-        for future, value in zip(futures, result):
-            if not future.done():
-                future.set_result(value)
+        """Answer an orphaned worker batch on the front session."""
+        with self._front_lock:
+            values = _worker_execute(self._front_session(), op, payload)
+        _resolve_items(futures, values)
 
     # ------------------------------------------------------------------
     # Result collection
@@ -1510,28 +1461,13 @@ class ServerPool:
         request_id, ok, payload = message
         with self._lock:
             entry = self._pending.pop(request_id, None)
+            if entry is not None and not ok and payload.kind == "timeout":
+                self._timeouts += 1
+                self._metric_timeouts.inc()
         if entry is None:
             return  # purged on timeout, or swept by the supervisor
         if not ok:
-            kind, text = payload
-            if kind == "timeout":
-                error: Exception = PoolTimeoutError(text)
-                with self._lock:
-                    self._timeouts += 1
-                self._metric_timeouts.inc()
-            elif kind == "invalid":
-                error = ValueError(text)
-            else:
-                error = WorkerError(text)
-            for future in entry.futures:
-                if not future.done():
-                    future.set_exception(error)
-            return
-        if entry.op in ("evaluate_many", "answers_many"):
-            for future, value in zip(entry.futures, payload):
-                if not future.done():
-                    future.set_result(value)
-        else:  # stats / metrics / stop: one future, raw payload
-            for future in entry.futures:
-                if not future.done():
-                    future.set_result(payload)
+            payload = [payload] * len(entry.futures)
+        elif entry.op not in _BATCH_OPS:
+            payload = [payload]  # stats / metrics / stop: one future
+        _resolve_items(entry.futures, payload)

@@ -66,7 +66,6 @@ from ..lineage.grounding import (
     ground_answer_lineages,
     ground_lineage,
 )
-from ..lineage.planner import GroundingError
 from ..lineage.wmc import exact_probability
 
 #: A query as accepted by the session API: parsed (CQ or union of
@@ -396,13 +395,14 @@ class QuerySession:
         every probability-only reweight reuses the plan, and only a
         structural change (insert, 0/1 boundary crossing) replans.
 
-        Every call (cache hits included) first checks the query's atom
-        arities against the database: a relation created after the
-        query was prepared may disagree with it.
+        Every call (cache hits included) first checks the query against
+        the database (:func:`~repro.lineage.grounding.check_arities`): a
+        relation created after the query was prepared may disagree
+        with it.
 
         Raises:
-            GroundingError: an atom's arity differs from its stored
-                relation's.
+            GroundingError: the query is not range-restricted, or an
+                atom's arity differs from its stored relation's.
         """
         query = self._parse(query)
         check_arities(query, self.db)
@@ -417,16 +417,9 @@ class QuerySession:
             prepared = PreparedQuery(query, shape, self.router.plan_query(query))
             if prepared.tier == "unsafe":
                 planner = self.router.grounding_planner
-                try:
-                    for disjunct in disjuncts_of(query):
-                        planner.plan_clause(disjunct, self.db)
-                except GroundingError:
-                    # Not groundable (e.g. predicate-only clause with
-                    # loose variables): surfaced when evaluated, not
-                    # at prepare time.
-                    pass
-                else:
-                    prepared.plan = planner.describe_cached(query)
+                for disjunct in disjuncts_of(query):
+                    planner.plan_clause(disjunct, self.db)
+                prepared.plan = planner.describe_cached(query)
             self._stage_seconds.labels("prepare").observe(
                 time.perf_counter() - start
             )

@@ -181,6 +181,7 @@ def test_cli_bad_query(demo_db, capsys):
 @pytest.mark.parametrize("command", ["evaluate", "answers"])
 @pytest.mark.parametrize("query, message", [
     ("R(x), S(x,y), T(y), z > 3", "query is not range-restricted"),
+    ("R(x), S(x,y), z > 3", "query is not range-restricted"),
     ("R(x, y)", "relation R has arity 1, but atom R(x, y) has arity 2"),
     ("Q(x) :- S(x)", "relation S has arity 2"),
 ])

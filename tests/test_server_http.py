@@ -146,6 +146,10 @@ class TestErrors:
         cases = [
             ("/evaluate", "R(x), S(x,y), T(y), z > 3",
              "query is not range-restricted"),
+            ("/evaluate", "R(x), S(x,y), z > 3",
+             "query is not range-restricted"),
+            ("/answers", "Q(x) :- R(x), S(x,y), z > 3",
+             "query is not range-restricted"),
             ("/evaluate", "R(x, y)", "relation R has arity 1"),
             ("/answers", "Q(x) :- S(x)", "relation S has arity 2"),
         ]

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.core import parse
+from repro.core.query import canonical_string
 from repro.db import ProbabilisticDatabase
 from repro.engines import RouterEngine
 from repro.serve import (
@@ -183,6 +184,40 @@ class TestMultiprocessPool:
             pool.evaluate("R(x)")
 
 
+class TestBatchIsolation:
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("bad, message", [
+        ("R(x), S(x,y), T(y), z > 3", "not range-restricted"),
+        ("R(x, y)", "relation R has arity 1"),
+    ])
+    def test_a_bad_query_fails_only_its_own_future(
+        self, workers, bad, message
+    ):
+        # Same-shard requests ride one worker message (with one worker,
+        # all of them do) — also when concurrent HTTP callers send them.
+        # The bad item must not take its batch-mates down with it.
+        db = small_db()
+        router = RouterEngine(exact_fallback=True)
+        with ServerPool(
+            db.copy(), workers=workers, config=EXACT, request_timeout=120
+        ) as pool:
+            good, failed, ranked, failed_ranked = pool._request_many([
+                ("evaluate", "R(x), S(x,y)", None),
+                ("evaluate", bad, None),
+                ("answers", "Q(x) :- R(x), S(x,y)", None),
+                ("answers", f"Q(x) :- {bad}", None),
+            ])
+            assert good.result(60) == pytest.approx(
+                router.probability(parse("R(x), S(x,y)"), db), abs=1e-9
+            )
+            assert ranked.result(60) == router.answers(
+                parse("Q(x) :- R(x), S(x,y)"), db
+            )
+            for future in (failed, failed_ranked):
+                with pytest.raises(ValueError, match=message):
+                    future.result(60)
+
+
 class _RecordingReader:
     """A worker reply reader that records which thread closes it."""
 
@@ -277,32 +312,31 @@ class TestWorkerDeath:
         finally:
             pool.close()
 
-    @pytest.mark.parametrize("update_log_limit", [512, 0])
-    def test_update_during_respawn_reaches_the_new_worker(
-        self, update_log_limit
-    ):
-        # An update broadcast while the supervisor is spawning the
-        # replacement lands on the dead worker's queue; the replay the
-        # new worker gets must still include it (a log limit of 0 also
-        # compacts the log into a fresh base snapshot meanwhile).
+    def test_update_during_respawn_reaches_the_new_worker(self):
+        # Updates broadcast while the supervisor spawns the replacement
+        # (before and after its process starts) must reach the new
+        # worker: they land on its queue, behind its snapshot.
         pool = ServerPool(
-            small_db(), workers=1, config=EXACT, request_timeout=120,
-            update_log_limit=update_log_limit,
+            small_db(), workers=1, config=EXACT, request_timeout=120
         )
         spawn = pool._spawn_worker
+        updated = threading.Event()
 
-        def spawn_then_update(shard, snapshot):
-            spawned = spawn(shard, snapshot)
+        def update_around_spawn(shard, snapshot, queue):
             pool.update("R", (1,), 0.9)
+            spawned = spawn(shard, snapshot, queue)
+            pool.update("R", (2,), 0.5)
+            updated.set()
             return spawned
 
         try:
             assert pool.evaluate("R(x)") == pytest.approx(0.8, abs=1e-9)
-            pool._spawn_worker = spawn_then_update
+            pool._spawn_worker = update_around_spawn
             pool._processes[0].terminate()
-            _await_respawn(pool)
-            # 1 - (1 - 0.9)(1 - 0.6)
-            assert pool.evaluate("R(x)") == pytest.approx(0.96, abs=1e-9)
+            assert updated.wait(60), "no respawn"
+            # 1 - (1 - 0.9)(1 - 0.5)
+            assert pool.evaluate("R(x)") == pytest.approx(0.95, abs=1e-9)
+            assert pool.health()["respawns"] == 1
         finally:
             pool.close()
 
@@ -392,6 +426,31 @@ class TestOutOfBandMutation:
             # worker's serving history — counters stay monotone.
             assert stats.combined.prepared >= before.prepared
             assert stats.combined.safe_evaluations > before.safe_evaluations
+
+    def test_mutation_before_a_respawn_still_reaches_every_shard(self):
+        # The respawned worker's snapshot already holds the direct
+        # mutation, but its peer's replica does not: the respawn must
+        # not mark the replicas synced, so the next request re-syncs.
+        texts = {}
+        for text in ["R(x)", "T(y)", "R(x), S(x,y)", "S(x,y), T(y)",
+                     "R(x), S(x,y), T(y)"]:
+            shape = canonical_string(parse(text).boolean())
+            texts.setdefault(shard_of(shape, 2), text)
+        assert sorted(texts) == [0, 1]
+        db = small_db()
+        with ServerPool(
+            db, workers=2, config=EXACT, request_timeout=120
+        ) as pool:
+            db.add("R", (2,), 0.9)
+            db.add("T", (10,), 0.3)
+            pool._processes[0].terminate()
+            _await_respawn(pool)
+            fresh = RouterEngine(exact_fallback=True)
+            for text in texts.values():
+                assert pool.evaluate(text) == pytest.approx(
+                    fresh.probability(parse(text), db), abs=1e-9
+                ), text
+            assert pool.stats().syncs == 1
 
 
 QUERY_SHAPES = [

@@ -457,6 +457,30 @@ def test_atom_arity_must_match_the_stored_relation(kind):
         serve("Q(x) :- S(x)")
 
 
+@pytest.mark.parametrize("text", [
+    "R(x), S(x,y), z > 3",
+    "Q(x) :- R(x), S(x,y), z > 3",
+])
+def test_a_predicate_on_an_unbound_variable_is_rejected(text):
+    # The query is safe: unchecked, the safe plan would drop the
+    # predicate on z and answer as if it were absent, where grounding
+    # rejects the query.  Every tier must reject it.
+    db = ProbabilisticDatabase.from_dict({
+        "R": {(1,): 0.5, (2,): 0.6},
+        "S": {(1, 10): 0.4, (2, 10): 0.7},
+    })
+    session = QuerySession(db)
+    router = RouterEngine()
+    for call in (
+        lambda: session.evaluate(text),
+        lambda: session.answers(text),
+        lambda: router.probability(parse(text), db),
+        lambda: router.answers(parse(text), db),
+    ):
+        with pytest.raises(GroundingError, match="not range-restricted"):
+            call()
+
+
 def test_serve_cli_jsonl_error_names_the_line(tmp_path, capsys):
     database, requests = _write_serve_files(
         tmp_path,

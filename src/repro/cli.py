@@ -68,6 +68,7 @@ import sys
 from typing import List, Optional
 
 from .analysis import classify
+from .compile.ordering import STRATEGIES
 from .core.parser import QueryParseError, parse
 from .db.database import ProbabilisticDatabase
 from .db.io import DatabaseFormatError, load_database
@@ -144,9 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compilation target (default: auto = OBDD, d-DNNF fallback)",
     )
     p_compile.add_argument(
-        "--ordering", default="auto",
-        help="OBDD variable ordering: lineage, min-width, hierarchy, "
-             "auto, or best (try all, keep the smallest)",
+        "--ordering", choices=STRATEGIES, default="auto",
+        help="OBDD variable ordering (default: auto = hierarchy for a "
+             "hierarchical query, else lineage)",
     )
     p_compile.add_argument(
         "--max-nodes", type=int, default=None,

@@ -31,11 +31,9 @@ from .obdd import OBDD, CompiledOBDD, compile_obdd
 from .ordering import (
     ORDERINGS,
     STRATEGIES,
-    candidate_orders,
     hierarchy_order,
     lineage_order,
     make_order,
-    min_width_order,
 )
 
 __all__ = [
@@ -48,13 +46,11 @@ __all__ = [
     "OBDD",
     "ORDERINGS",
     "STRATEGIES",
-    "candidate_orders",
     "compile_dnnf",
     "compile_obdd",
     "hierarchy_order",
     "lineage_order",
     "make_order",
-    "min_width_order",
     "model_count",
     "probability",
     "probability_batch",

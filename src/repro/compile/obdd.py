@@ -15,9 +15,9 @@ re-weighting), and cacheable across repeated queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 try:  # pragma: no cover - exercised by whichever env runs the suite
     import numpy as np
@@ -28,7 +28,7 @@ from ..core.query import ConjunctiveQuery
 from ..db.database import TupleKey
 from ..lineage.boolean import Lineage
 from .circuit import BudgetExceeded, Circuit, NodeId
-from .ordering import candidate_orders, make_order
+from .ordering import make_order
 
 #: Terminal ids.
 FALSE = 0
@@ -54,6 +54,7 @@ class OBDD:
         self._nodes: List[Optional[Tuple[int, int, int]]] = [None, None]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._apply_cache: Dict[Tuple, int] = {}
+        self._reachable: Dict[int, List[int]] = {}
         self.max_nodes = max_nodes
         self.apply_steps = 0
 
@@ -171,7 +172,14 @@ class OBDD:
     # ------------------------------------------------------------------
 
     def reachable(self, root: int) -> List[int]:
-        """Nodes under ``root``, children before parents."""
+        """Nodes under ``root``, children before parents.
+
+        Memoized per root (a node never changes once made), so repeated
+        sweeps over one compiled root skip the walk.
+        """
+        cached = self._reachable.get(root)
+        if cached is not None:
+            return cached
         seen: Set[int] = set()
         order: List[int] = []
         stack: List[Tuple[int, bool]] = [(root, False)]
@@ -187,6 +195,7 @@ class OBDD:
             if self._nodes[node] is not None:
                 _, low, high = self._nodes[node]
                 stack.extend(((high, False), (low, False)))
+        self._reachable[root] = order
         return order
 
     def node_count(self, root: int) -> int:
@@ -336,33 +345,17 @@ def compile_obdd(
 ) -> CompiledOBDD:
     """Compile a lineage DNF into a reduced OBDD.
 
-    ``strategy`` is an ordering name from :mod:`repro.compile.ordering`
-    (or ``best``, which compiles every candidate order and keeps the
-    smallest result).  ``max_nodes`` bounds the unique table;
-    exceeding it raises :class:`~repro.compile.circuit.BudgetExceeded`.
+    ``strategy`` is an ordering name from :mod:`repro.compile.ordering`;
+    the default ``auto`` uses the ``hierarchy`` order for a connected
+    hierarchical ``query`` and first-appearance ``lineage`` order
+    otherwise.  ``max_nodes`` bounds the unique table; exceeding it
+    raises :class:`~repro.compile.circuit.BudgetExceeded`.
     """
     if lineage.certainly_true:
         return CompiledOBDD(OBDD([]), TRUE, "trivial")
     if lineage.is_false:
         return CompiledOBDD(OBDD([]), FALSE, "trivial")
-    clauses = _canonical_clauses(lineage)
-    if strategy == "best":
-        best: Optional[CompiledOBDD] = None
-        failure: Optional[BudgetExceeded] = None
-        for name, order in candidate_orders(lineage, query):
-            obdd = OBDD(order, max_nodes=max_nodes)
-            try:
-                root = compile_clauses(obdd, clauses)
-            except BudgetExceeded as error:
-                failure = error
-                continue
-            result = CompiledOBDD(obdd, root, name, peak_nodes=len(obdd))
-            if best is None or result.size < best.size:
-                best = result
-        if best is None:
-            raise failure or BudgetExceeded("no ordering compiled")
-        return best
     name, order = make_order(lineage, strategy, query)
     obdd = OBDD(order, max_nodes=max_nodes)
-    root = compile_clauses(obdd, clauses)
+    root = compile_clauses(obdd, _canonical_clauses(lineage))
     return CompiledOBDD(obdd, root, name, peak_nodes=len(obdd))

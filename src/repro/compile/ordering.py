@@ -1,13 +1,10 @@
 """Variable orderings for the OBDD compiler.
 
-OBDD size is notoriously sensitive to the variable order.  Three
-heuristics are provided, all deterministic:
+OBDD size is notoriously sensitive to the variable order.  Two
+heuristics are provided, both deterministic:
 
 * ``lineage`` — events in first-appearance order over the canonically
   sorted clauses.  Cheap, and already groups each clause's events.
-* ``min-width`` — greedy minimization of the number of *active*
-  clauses (clauses with both placed and unplaced events) at every
-  prefix of the order.  Small width bounds the OBDD frontier.
 * ``hierarchy`` — derived from the query's hierarchy tree
   (:mod:`repro.core.hierarchy`): events are sorted by the ground values
   of the root-to-leaf scope variables, so all events touching one
@@ -16,7 +13,7 @@ heuristics are provided, all deterministic:
   structure.
 
 ``make_order`` dispatches by name; ``auto`` picks ``hierarchy`` when a
-hierarchical connected query is supplied and ``min-width`` otherwise.
+hierarchical connected query is supplied and ``lineage`` otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from ..db.database import TupleKey
 from ..lineage.boolean import Lineage
 
 #: Ordering strategy names accepted by the compilers and the CLI.
-STRATEGIES = ("lineage", "min-width", "hierarchy", "auto", "best")
+STRATEGIES = ("lineage", "hierarchy", "auto")
 
 
 def _event_key(event: TupleKey) -> Tuple:
@@ -57,58 +54,6 @@ def lineage_order(
             if event not in seen:
                 seen.add(event)
                 order.append(event)
-    return order
-
-
-def min_width_order(
-    lineage: Lineage, query: Optional[ConjunctiveQuery] = None
-) -> List[TupleKey]:
-    """Greedy width minimization over the clause/event incidence.
-
-    At each step pick the event that, once placed, leaves the fewest
-    *active* clauses — clauses partially placed.  Ties break toward
-    events finishing more clauses, then canonically.
-
-    The greedy scan is O(events × incidence); on huge lineages that
-    cost would land *before* the OBDD compiler's node budget can
-    fire, so past a fixed work bound this falls back to the linear
-    :func:`lineage_order` (the budget then fails fast as intended).
-    """
-    clauses = _sorted_clauses(lineage)
-    incidence = sum(len(events) for events in clauses)
-    if lineage.variable_count * incidence > 20_000_000:
-        return lineage_order(lineage, query)
-    remaining: Dict[int, Set[TupleKey]] = {
-        i: set(events) for i, events in enumerate(clauses)
-    }
-    touched: Set[int] = set()
-    by_event: Dict[TupleKey, List[int]] = {}
-    for i, events in enumerate(clauses):
-        for event in events:
-            by_event.setdefault(event, []).append(i)
-    order: List[TupleKey] = []
-    unplaced = set(by_event)
-    while unplaced:
-        best = None
-        best_score = None
-        for event in unplaced:
-            finishes = sum(
-                1 for i in by_event[event]
-                if remaining[i] == {event}
-            )
-            opens = sum(
-                1 for i in by_event[event]
-                if i not in touched and len(remaining[i]) > 1
-            )
-            # width delta: newly active minus newly finished
-            score = (opens - finishes, -finishes, _event_key(event))
-            if best_score is None or score < best_score:
-                best, best_score = event, score
-        order.append(best)
-        unplaced.discard(best)
-        for i in by_event[best]:
-            touched.add(i)
-            remaining[i].discard(best)
     return order
 
 
@@ -184,7 +129,6 @@ def _scope_positions(atom, scope: Sequence[Variable]) -> Tuple[int, ...]:
 
 ORDERINGS = {
     "lineage": lineage_order,
-    "min-width": min_width_order,
     "hierarchy": hierarchy_order,
 }
 
@@ -197,9 +141,17 @@ def make_order(
     """Resolve a strategy name to ``(effective name, event order)``.
 
     ``auto`` picks ``hierarchy`` when the query is supplied, connected
-    and hierarchical, else ``min-width``.  ``best`` is resolved by the
-    OBDD compiler (it needs candidate compilations); here it maps to
-    the full candidate list via :func:`candidate_orders`.
+    and hierarchical, else ``lineage``.
+
+    >>> from repro.core import parse
+    >>> from repro.db import star_join_instance
+    >>> from repro.lineage.grounding import ground_lineage
+    >>> query = parse("R(x), S(x,y)")
+    >>> lineage = ground_lineage(query, star_join_instance(2, 2, seed=0))
+    >>> make_order(lineage, "auto")[0]
+    'lineage'
+    >>> make_order(lineage, "auto", query)[0]
+    'hierarchy'
     """
     if strategy == "auto":
         if (
@@ -210,26 +162,10 @@ def make_order(
         ):
             strategy = "hierarchy"
         else:
-            strategy = "min-width"
+            strategy = "lineage"
     if strategy not in ORDERINGS:
         raise ValueError(
             f"unknown ordering strategy {strategy!r}; "
-            f"expected one of {sorted(ORDERINGS) + ['auto', 'best']}"
+            f"expected one of {STRATEGIES}"
         )
     return strategy, ORDERINGS[strategy](lineage, query)
-
-
-def candidate_orders(
-    lineage: Lineage, query: Optional[ConjunctiveQuery] = None
-) -> List[Tuple[str, List[TupleKey]]]:
-    """All heuristic orders, deduplicated, for ``best``-mode search."""
-    out: List[Tuple[str, List[TupleKey]]] = []
-    seen: Set[Tuple] = set()
-    for name in ("hierarchy", "min-width", "lineage"):
-        order = ORDERINGS[name](lineage, query)
-        fingerprint = tuple(order)
-        if fingerprint in seen:
-            continue
-        seen.add(fingerprint)
-        out.append((name, order))
-    return out

@@ -1070,6 +1070,11 @@ class ServerPool:
                 self._front = self.config.build_session(
                     self.db, metrics=self.metrics
                 )
+                # _front is set before _overloaded is read, so an
+                # overload transition racing this build is seen here or
+                # sees the new session itself.
+                if self._overloaded:
+                    self._front.set_sample_budget(self._clamped_samples())
             return self._front
 
     def _serve_front(
@@ -1208,12 +1213,7 @@ class ServerPool:
         level = self._wait_ewma.value
         if not self._overloaded and level > threshold:
             self._overloaded = True
-            samples = (
-                self.overload_samples
-                if self.overload_samples is not None
-                else max(500, self.config.mc_samples // 10)
-            )
-            self._broadcast_samples_locked(samples)
+            self._broadcast_samples_locked(self._clamped_samples())
             self._metric_overload.set(1)
             self._metric_overload_transitions.labels("enter").inc()
         elif self._overloaded and level < threshold * 0.5:
@@ -1221,6 +1221,12 @@ class ServerPool:
             self._broadcast_samples_locked(self.config.mc_samples)
             self._metric_overload.set(0)
             self._metric_overload_transitions.labels("exit").inc()
+
+    def _clamped_samples(self) -> int:
+        """The Monte Carlo budget every replica runs at in overload mode."""
+        if self.overload_samples is not None:
+            return self.overload_samples
+        return max(500, self.config.mc_samples // 10)
 
     def _broadcast_samples_locked(self, samples: int) -> None:
         message = ("configure", None, {"mc_samples": samples})
@@ -1320,6 +1326,13 @@ class ServerPool:
             else:
                 snapshot = self.db.snapshot()
                 queue = self._ctx.Queue()
+                if self._overloaded:
+                    # The clamp is a queued message, not part of the
+                    # snapshot: replay it first.
+                    queue.put((
+                        "configure", None,
+                        {"mc_samples": self._clamped_samples()},
+                    ))
                 self._respawns += 1
                 self._metric_respawns.labels(str(shard)).inc()
             self._request_queues[shard] = queue

@@ -1,6 +1,7 @@
 """Unit tests for the knowledge-compilation subsystem."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from repro.compile import (
     Circuit,
     CircuitCache,
     IncrementalEvaluator,
-    candidate_orders,
     compile_dnnf,
     compile_obdd,
     make_order,
@@ -19,9 +19,14 @@ from repro.compile import (
 )
 from repro.compile.obdd import FALSE, TRUE, OBDD
 from repro.core import parse
-from repro.db import random_database_for_query, star_join_instance
+from repro.db import (
+    ProbabilisticDatabase,
+    random_database_for_query,
+    star_join_instance,
+)
+from repro.engines.compiled import canonicalize_lineage
 from repro.lineage.boolean import Lineage, make_lineage
-from repro.lineage.grounding import ground_lineage
+from repro.lineage.grounding import ground_answer_lineages, ground_lineage
 from repro.lineage.wmc import exact_probability
 
 
@@ -122,7 +127,7 @@ class TestOrdering:
         q = parse("R(x), S(x,y), T(y)")
         db = random_database_for_query(q, 3, density=0.8, seed=0)
         lin = ground_lineage(q, db)
-        for strategy in ("lineage", "min-width", "hierarchy", "auto"):
+        for strategy in ("lineage", "hierarchy", "auto"):
             name, order = make_order(lin, strategy, q)
             assert set(order) == set(lin.events())
             assert len(order) == lin.variable_count
@@ -134,20 +139,14 @@ class TestOrdering:
         name, _ = make_order(lin, "auto", q)
         assert name == "hierarchy"
 
-    def test_auto_without_query_picks_min_width(self):
+    def test_auto_without_query_picks_lineage(self):
         lin = _simple_lineage()
         name, _ = make_order(lin, "auto", None)
-        assert name == "min-width"
+        assert name == "lineage"
 
     def test_unknown_strategy_raises(self):
         with pytest.raises(ValueError):
             make_order(_simple_lineage(), "alphabetical")
-
-    def test_candidate_orders_deduplicate(self):
-        lin = _simple_lineage()
-        candidates = candidate_orders(lin)
-        fingerprints = [tuple(order) for _, order in candidates]
-        assert len(fingerprints) == len(set(fingerprints))
 
     def test_hierarchy_order_groups_by_root_value(self):
         q = parse("R(x), S(x,y)")
@@ -202,13 +201,30 @@ class TestOBDD:
         with pytest.raises(BudgetExceeded):
             compile_obdd(lin, max_nodes=2)
 
-    def test_best_strategy_never_worse_than_each_heuristic(self):
-        q = parse("R(x), S(x,y), T(y)")
-        db = random_database_for_query(q, 3, density=0.8, seed=1)
-        lin = ground_lineage(q, db)
-        best = compile_obdd(lin, "best", q)
-        for strategy in ("lineage", "min-width", "hierarchy"):
-            assert best.size <= compile_obdd(lin, strategy, q).size
+    def test_star_answer_lineage_compiles_linear(self):
+        # One answer's lineage: G(0,a) is in every clause, each x has
+        # four private y's — 20 clauses over 51 events.  The session
+        # compiles it canonicalized, with no query hint.
+        rng = random.Random(0)
+        db = ProbabilisticDatabase()
+        db.add("G", (0, "a"), 0.7)
+        y = 0
+        for x in range(5):
+            db.add("A", ("a", x), rng.uniform(0.1, 0.9))
+            db.add("R", (x,), rng.uniform(0.1, 0.9))
+            for _ in range(4):
+                db.add("S", (x, y), rng.uniform(0.1, 0.9))
+                db.add("T", (y,), rng.uniform(0.1, 0.9))
+                y += 1
+        q = parse("Q(a) :- G(0, a), A(a,x), R(x), S(x,y), T(y)")
+        (lin,) = ground_answer_lineages(q, db).values()
+        assert (lin.clause_count(), lin.variable_count) == (20, 51)
+        canonical, weights, _renaming = canonicalize_lineage(lin)
+        result = compile_obdd(canonical)
+        assert result.size <= 4 * canonical.clause_count()
+        assert result.probability(weights) == pytest.approx(
+            exact_probability(lin), abs=1e-9
+        )
 
     def test_model_count_matches_enumeration(self):
         lin = _simple_lineage()
@@ -391,6 +407,20 @@ class TestCompileCLI:
         assert "circuit" in out
         assert "ordering=" in out
         assert "p(q) = " in out
+
+    def test_unknown_ordering_is_a_usage_error(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"R": [[[1], 0.5]]}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compile", "R(x)", str(path), "--ordering", "alphabetical"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'alphabetical'" in err
+        assert "compilation failed" not in err
 
     def test_evaluate_reports_fallback_reason(self, tmp_path, capsys):
         import json

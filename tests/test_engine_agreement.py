@@ -137,7 +137,7 @@ def test_compiled_vs_oracle_on_zoo(mode, entry):
         )
 
 
-@pytest.mark.parametrize("ordering", ["lineage", "min-width", "hierarchy", "best"])
+@pytest.mark.parametrize("ordering", ["lineage", "hierarchy", "auto"])
 def test_compiled_obdd_orderings_agree(ordering):
     q = parse("R(x), S(x,y), T(y)")
     db = random_database_for_query(q, 4, density=0.5, seed=13)

@@ -9,6 +9,8 @@ threads' traffic interleaves (updates to unmentioned relations never
 affect a query).
 """
 
+import os
+import signal
 import threading
 import time
 
@@ -371,6 +373,56 @@ class TestWorkerDeath:
             stats = pool.stats()
             assert stats.degraded == [0]
             assert stats.front_session is not None
+        finally:
+            pool.close()
+
+
+class TestOverload:
+    @pytest.mark.parametrize(
+        "respawn_limit", [5, 0], ids=["respawned", "degraded"]
+    )
+    def test_replacement_replica_keeps_the_clamped_budget(
+        self, respawn_limit
+    ):
+        # Overload mode clamps the Monte Carlo budget with a queued
+        # configure message, which no snapshot carries: whatever takes
+        # over a dead worker's shard while the clamp holds (a respawned
+        # worker, or the front session once the shard degrades) must
+        # still run clamped.
+        pool = ServerPool(
+            small_db(), workers=1,
+            config=SessionConfig(compile_budget=0, mc_seed=3),
+            overload_threshold=1e-12, overload_samples=500,
+            respawn_limit=respawn_limit, request_timeout=120,
+        )
+        text = "R(x), S(x,y), T(y)"
+
+        def drawn():
+            family = pool.metrics_snapshot().get("repro_mc_samples_total")
+            return sum(family["values"].values()) if family else 0
+
+        def samples_per_read(probability):
+            before = drawn()
+            # A changed marginal misses the result cache.
+            pool.update("R", (1,), probability)
+            pool.evaluate(text)
+            return drawn() - before
+
+        try:
+            pool.evaluate(text)  # the first queue wait enters overload
+            assert samples_per_read(0.55) == 500
+            os.kill(pool._processes[0].pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while True:
+                health = pool.health()
+                if health["respawns"] or health["degraded"]:
+                    break
+                assert time.monotonic() < deadline, "shard never replaced"
+                time.sleep(0.05)
+            assert (health["respawns"], health["degraded"]) == (
+                (1, []) if respawn_limit else (0, [0])
+            )
+            assert samples_per_read(0.45) == 500
         finally:
             pool.close()
 

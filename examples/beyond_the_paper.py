@@ -8,8 +8,6 @@
 2. **Boolean properties** (Theorem 3.11) — probabilities of Boolean
    combinations of CQs via inclusion–exclusion, with the PTIME path
    for inversion-free properties.
-3. **SQL execution** — the Equation-(3) safe plan compiled onto
-   SQLite aggregates, the way MystiQ runs plans inside an RDBMS.
 
 Run:  python examples/beyond_the_paper.py
 """
@@ -22,7 +20,6 @@ from repro.analysis import (
     neg,
     property_probability,
 )
-from repro.engines import SQLSafePlanEngine, SafePlanEngine
 
 
 def main() -> None:
@@ -49,13 +46,6 @@ def main() -> None:
         }
     )
     print(f"P(property) = {property_probability(prop, db):.6f}")
-
-    # The same safe plan, in Python and inside SQLite.
-    p_python = SafePlanEngine().probability(query, db)
-    p_sql = SQLSafePlanEngine().probability(query, db)
-    print(f"\nsafe plan (python) : {p_python:.10f}")
-    print(f"safe plan (sqlite) : {p_sql:.10f}")
-    assert abs(p_python - p_sql) < 1e-9
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from .db import (
     DatabaseFormatError,
     ProbabilisticDatabase,
     Relation,
-    SQLiteStore,
     load_database,
     random_database,
     random_database_for_query,
@@ -79,7 +78,6 @@ __all__ = [
     "Relation",
     "RouterEngine",
     "SessionStats",
-    "SQLiteStore",
     "SafePlanEngine",
     "UnsafeQueryError",
     "UnsupportedQueryError",

@@ -198,6 +198,31 @@ class OBDD:
         self._reachable[root] = order
         return order
 
+    def compact(self, root: int) -> int:
+        """Keep only the nodes under ``root``; return its new id.
+
+        The unique table is rebuilt over those nodes, the Apply cache is
+        emptied and only the root's bottom-up order stays memoized, so
+        a compiled result no longer holds on to intermediate Apply
+        results.  Old ids are invalid afterwards.
+        """
+        order = self.reachable(root)
+        mapped: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+        nodes: List[Optional[Tuple[int, int, int]]] = [None, None]
+        for node in order:
+            if node in mapped:
+                continue
+            level, low, high = self._nodes[node]
+            mapped[node] = len(nodes)
+            nodes.append((level, mapped[low], mapped[high]))
+        self._nodes = nodes
+        self._unique = {
+            key: node for node, key in enumerate(nodes) if key is not None
+        }
+        self._apply_cache = {}
+        self._reachable = {mapped[root]: [mapped[node] for node in order]}
+        return mapped[root]
+
     def node_count(self, root: int) -> int:
         """Decision nodes reachable from ``root`` (terminals excluded)."""
         return sum(
@@ -279,8 +304,8 @@ class CompiledOBDD:
     obdd: OBDD
     root: int
     ordering: str
-    #: Total unique-table size at the end of compilation (includes
-    #: intermediate Apply results; ``size`` is the live result only).
+    #: Unique-table size at the end of compilation, before compaction
+    #: (includes intermediate Apply results; ``size`` is the live result).
     peak_nodes: int = 0
 
     @property
@@ -349,7 +374,8 @@ def compile_obdd(
     the default ``auto`` uses the ``hierarchy`` order for a connected
     hierarchical ``query`` and first-appearance ``lineage`` order
     otherwise.  ``max_nodes`` bounds the unique table; exceeding it
-    raises :class:`~repro.compile.circuit.BudgetExceeded`.
+    raises :class:`~repro.compile.circuit.BudgetExceeded`.  The result
+    keeps only the nodes under its root (:meth:`OBDD.compact`).
     """
     if lineage.certainly_true:
         return CompiledOBDD(OBDD([]), TRUE, "trivial")
@@ -358,4 +384,5 @@ def compile_obdd(
     name, order = make_order(lineage, strategy, query)
     obdd = OBDD(order, max_nodes=max_nodes)
     root = compile_clauses(obdd, _canonical_clauses(lineage))
-    return CompiledOBDD(obdd, root, name, peak_nodes=len(obdd))
+    peak_nodes = len(obdd)
+    return CompiledOBDD(obdd, obdd.compact(root), name, peak_nodes=peak_nodes)

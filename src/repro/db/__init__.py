@@ -18,7 +18,6 @@ from .relation import (
     Value,
     canonical_row_key,
 )
-from .sqlstore import SQLiteStore
 from .worlds import (
     MAX_ENUMERABLE_TUPLES,
     World,
@@ -35,7 +34,6 @@ __all__ = [
     "ProbabilisticDatabase",
     "Relation",
     "RelationVersion",
-    "SQLiteStore",
     "TupleKey",
     "Value",
     "World",

@@ -29,7 +29,6 @@ from .montecarlo import (
 )
 from .router import RouterEngine, RoutingDecision
 from .safe_plan import SafePlanEngine, generic_residual
-from .sql_plan import SQLSafePlanEngine
 
 __all__ = [
     "Answer",
@@ -44,7 +43,6 @@ __all__ = [
     "MonteCarloEngine",
     "RouterEngine",
     "RoutingDecision",
-    "SQLSafePlanEngine",
     "SafePlanEngine",
     "SafetyReport",
     "UnsafeQueryError",

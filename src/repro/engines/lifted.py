@@ -38,8 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..core.atoms import Atom
 from ..core.orders import OrderConstraints
 from ..core.predicates import Comparison
-from ..core.query import ConjunctiveQuery
-from ..core.substitution import Substitution, fresh_renaming
+from ..core.query import ConjunctiveQuery, canonical_string
 from ..core.terms import Constant, Term, Variable
 from ..core.union import (
     AnyQuery,
@@ -624,32 +623,8 @@ def _conjoin_apart(queries: Sequence[ConjunctiveQuery]) -> ConjunctiveQuery:
     return result
 
 
-def _canonical_string(query: ConjunctiveQuery) -> str:
-    """A renaming-invariant (best effort) string for cycle detection.
-
-    Variables are renamed ``v0, v1, ...`` in order of appearance in the
-    canonical atom order, iterated to a fixpoint.  Imperfect
-    canonicalization only delays cycle detection (the recursion bound
-    is the backstop); it never conflates distinct unions because the
-    string is a faithful rendering of the query.
-    """
-    current = query
-    previous = None
-    for _ in range(5):
-        mapping: Dict[Variable, Term] = {}
-        for variable in current.variables:
-            mapping[variable] = Variable(f"v{len(mapping)}")
-        renamed = current.apply(Substitution(mapping))
-        text = str(renamed)
-        if text == previous:
-            break
-        previous = text
-        current = renamed
-    return previous or str(current)
-
-
 def _canonical_key(queries: Sequence[ConjunctiveQuery]) -> frozenset:
-    return frozenset(_canonical_string(q) for q in queries)
+    return frozenset(canonical_string(q) for q in queries)
 
 
 def _dependence_groups(

@@ -20,7 +20,6 @@ from repro.engines import (
     LineageEngine,
     MonteCarloEngine,
     RouterEngine,
-    SQLSafePlanEngine,
     SafePlanEngine,
     UnsafeQueryError,
     UnsupportedQueryError,
@@ -174,7 +173,6 @@ def test_exact_engines_agree_on_answers(text, seed):
         plan_ok = False
     if plan_ok:
         _agree(SafePlanEngine().answers(q, db), expected, f"safe-plan {text}")
-        _agree(SQLSafePlanEngine().answers(q, db), expected, f"sql {text}")
     if is_safe_query(residual).safe:
         try:
             _agree(LiftedEngine().answers(q, db), expected, f"lifted {text}")

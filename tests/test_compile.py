@@ -201,6 +201,25 @@ class TestOBDD:
         with pytest.raises(BudgetExceeded):
             compile_obdd(lin, max_nodes=2)
 
+    def test_compiled_result_keeps_only_its_live_nodes(self):
+        q = parse("R(x), S(x,y), T(y)")
+        db = random_database_for_query(q, 3, density=0.8, seed=0)
+        lin = ground_lineage(q, db)
+        assert lin.clause_count() > 1
+        result = compile_obdd(lin)
+        bdd = result.obdd
+        # The unique table holds the live nodes and the two terminals;
+        # the intermediate Apply results are gone.
+        assert len(bdd) == result.size + 2
+        assert result.peak_nodes > len(bdd)
+        assert result.probability(lin.weights) == pytest.approx(
+            exact_probability(lin), abs=1e-9
+        )
+        for node in bdd.reachable(result.root):
+            if node not in (FALSE, TRUE):
+                assert bdd.mk(*bdd._nodes[node]) == node
+        assert len(bdd) == result.size + 2
+
     def test_star_answer_lineage_compiles_linear(self):
         # One answer's lineage: G(0,a) is in every clause, each x has
         # four private y's — 20 clauses over 51 events.  The session

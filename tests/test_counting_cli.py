@@ -1,4 +1,4 @@
-"""Tests for the SQL-compiled safe plan and substructure counting."""
+"""Tests for substructure counting and the classify/evaluate CLI."""
 
 import pytest
 
@@ -7,66 +7,9 @@ from repro.analysis.counting import (
     uniform_database,
 )
 from repro.core import parse
-from repro.db import (
-    ProbabilisticDatabase,
-    iterate_worlds,
-    random_database_for_query,
-    world_database,
-)
-from repro.engines import (
-    SQLSafePlanEngine,
-    SafePlanEngine,
-    UnsupportedQueryError,
-)
+from repro.db import ProbabilisticDatabase, iterate_worlds, world_database
+from repro.engines import SafePlanEngine
 from repro.lineage import query_holds
-
-sql_plan = SQLSafePlanEngine()
-py_plan = SafePlanEngine()
-
-
-class TestSQLSafePlan:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "R(x), S(x,y)",
-            "R(x,y), S(y)",
-            "R(x), S(x,y), T(x,y,z)",
-            "R(x), U(v)",
-            "R(x), S(x,y), x < y",
-        ],
-    )
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_python_plan(self, text, seed):
-        q = parse(text)
-        db = random_database_for_query(q, 3, density=0.5, seed=seed)
-        assert sql_plan.probability(q, db) == pytest.approx(
-            py_plan.probability(q, db), abs=1e-9
-        )
-
-    def test_rejects_self_joins(self):
-        with pytest.raises(UnsupportedQueryError):
-            sql_plan.probability(parse("R(x,y), R(y,z)"), ProbabilisticDatabase())
-
-    def test_ground_query(self):
-        db = ProbabilisticDatabase.from_dict({"R": {(1,): 0.25}})
-        assert sql_plan.probability(parse("R(1)"), db) == pytest.approx(0.25)
-        assert sql_plan.probability(parse("R(9)"), db) == 0.0
-
-    def test_negated_ground(self):
-        db = ProbabilisticDatabase.from_dict(
-            {"R": {(1,): 0.5}, "S": {(1,): 0.4}}
-        )
-        assert sql_plan.probability(parse("R(x), not S(1)"), db) == pytest.approx(
-            0.3
-        )
-
-    def test_string_values(self):
-        db = ProbabilisticDatabase.from_dict(
-            {"R": {("a",): 0.5}, "S": {("a", "b"): 0.4}}
-        )
-        assert sql_plan.probability(parse("R(x), S(x,y)"), db) == pytest.approx(
-            0.2
-        )
 
 
 class TestSubstructureCounting:

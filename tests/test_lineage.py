@@ -25,6 +25,11 @@ def star_db():
     )
 
 
+def _named(matches):
+    """Matches as ``{variable name: value}`` dicts in a fixed order."""
+    return sorted(({v.name: x for v, x in m.items()} for m in matches), key=repr)
+
+
 class TestMatching:
     def test_find_matches(self, star_db):
         matches = find_matches(parse("R(x), S(x,y)"), star_db)
@@ -38,6 +43,17 @@ class TestMatching:
     def test_predicates_filter(self, star_db):
         matches = find_matches(parse("S(x, y), y < 11"), star_db)
         assert len(matches) == 2
+
+    def test_join_filter_and_constant_matches_are_exact(self, star_db):
+        expected = {
+            "R(x), S(x,y)": [
+                {"x": 1, "y": 10}, {"x": 1, "y": 11}, {"x": 2, "y": 10},
+            ],
+            "S(x,y), y < 11": [{"x": 1, "y": 10}, {"x": 2, "y": 10}],
+            "S(1, y)": [{"y": 10}, {"y": 11}],
+        }
+        for text, matches in expected.items():
+            assert _named(find_matches(parse(text), star_db)) == matches
 
     def test_query_holds(self, star_db):
         assert query_holds(parse("R(x), S(x,y)"), star_db)
@@ -53,6 +69,29 @@ class TestMatching:
         )
         matches = find_matches(parse("E(x,y), E(y,z)"), db)
         assert len(matches) == 3
+
+    def test_self_join_on_a_path_matches_once(self):
+        db = ProbabilisticDatabase.from_dict({"E": {(1, 2): 0.5, (2, 3): 0.5}})
+        matches = find_matches(parse("E(x,y), E(y,z)"), db)
+        assert _named(matches) == [{"x": 1, "y": 2, "z": 3}]
+
+    def test_int_and_str_values_stay_distinct(self):
+        db = ProbabilisticDatabase.from_dict(
+            {"R": {(1, "a"): 0.5, ("1", "b"): 0.5}}
+        )
+        matches = find_matches(parse("R(x,y)"), db)
+        assert _named(matches) == [{"x": "1", "y": "b"}, {"x": 1, "y": "a"}]
+
+    def test_empty_relation_matches_nothing(self):
+        db = ProbabilisticDatabase()
+        db.relation("R")
+        assert find_matches(parse("R(1)"), db) == []
+
+    def test_negated_ground_atom_alone_matches_trivially(self):
+        # Negated sub-goals filter nothing at match time: the lineage
+        # carries them, so the lone match is the empty assignment.
+        db = ProbabilisticDatabase.from_dict({"R": {(1,): 0.5}})
+        assert find_matches(parse("not R(1)"), db) == [{}]
 
 
 class TestLineage:

@@ -66,6 +66,12 @@ class TestEquationThree:
             0.5 * 0.6
         )
 
+    def test_string_values(self):
+        db = ProbabilisticDatabase.from_dict(
+            {"R": {("a",): 0.5}, "S": {("a", "b"): 0.4}}
+        )
+        assert plan.probability(parse("R(x), S(x,y)"), db) == pytest.approx(0.2)
+
     def test_predicates_restrict_matches(self):
         db = ProbabilisticDatabase.from_dict(
             {"S": {(1, 10): 0.5, (1, 20): 0.5}}

@@ -4,7 +4,7 @@ Three exact backends on the same lineages:
 
 * the recursive WMC oracle (recounts everything, keeps no artifact);
 * the OBDD compiler (compile once, evaluate linearly, re-evaluate
-  incrementally);
+  under changed marginals without recompiling);
 * the d-DNNF compiler (the WMC trace, recorded as a circuit).
 
 Two workload shapes, scaled over database size:
@@ -14,10 +14,11 @@ Two workload shapes, scaled over database size:
 * non-hierarchical ``R(x), S(x,y), T(y)`` — #P-hard in general; small
   instances still compile, which is exactly the router's new tier 3.
 
-The headline assertion: after a single tuple-marginal update, OBDD
-re-evaluation (incremental re-weighting) is **≥10× faster** than
-recompiling/recounting from scratch — the amortization that justifies
-keeping compiled artifacts around.
+The headline assertion: after a single tuple-marginal update, one
+linear sweep of the already-compiled OBDD (what the serving layer does
+on a probability-only change) is **≥10× faster** than recompiling and
+recounting from scratch — the amortization that justifies keeping
+compiled artifacts around.
 
 Runs standalone for the CI smoke: ``python benchmarks/bench_compile.py
 --smoke`` (tiny sizes, no timing assertions).
@@ -29,7 +30,7 @@ import time
 
 import pytest
 
-from repro.compile import IncrementalEvaluator, compile_dnnf, compile_obdd
+from repro.compile import compile_dnnf, compile_obdd
 from repro.core import parse
 from repro.db import random_database, star_join_instance
 from repro.lineage.grounding import ground_lineage
@@ -108,37 +109,32 @@ def test_hierarchical_obdd_scales_linearly(report):
     assert sizes[120] <= 5 * sizes[30]
 
 
-def incremental_speedup(fanout=150):
-    """(scratch seconds, incremental seconds) for one marginal update."""
+def reweighting_speedup(fanout=150):
+    """(scratch seconds, sweep seconds) for one marginal update."""
     db = _hier_db(fanout)
     lineage = ground_lineage(HIER, db)
     compiled = compile_obdd(lineage, "hierarchy", HIER)
-    circuit, root = compiled.obdd.to_circuit(compiled.root)
-    evaluator = IncrementalEvaluator(circuit, root, lineage.weights)
-    event = sorted(lineage.events(), key=str)[0]
-
     weights = dict(lineage.weights)
+    weights[sorted(lineage.events(), key=str)[0]] = 0.123
 
-    def scratch(weight):
+    def scratch():
         # What a system without compiled artifacts must do on every
         # marginal change: recompile the lineage and recount.
-        weights[event] = weight
-        fresh = compile_obdd(lineage, "hierarchy", HIER)
-        return fresh.probability(weights)
+        return compile_obdd(lineage, "hierarchy", HIER).probability(weights)
 
-    t_scratch, p_scratch = _time(lambda: scratch(0.123))
-    t_incr, p_incr = _time(lambda: evaluator.update(event, 0.123))
-    assert p_incr == pytest.approx(p_scratch, abs=1e-9)
-    return t_scratch, t_incr
+    t_scratch, p_scratch = _time(scratch)
+    t_sweep, p_sweep = _time(lambda: compiled.probability(weights))
+    assert p_sweep == pytest.approx(p_scratch, abs=1e-9)
+    return t_scratch, t_sweep
 
 
 @pytest.mark.bench_table("E8")
-def test_incremental_reweighting_at_least_10x(report):
-    t_scratch, t_incr = incremental_speedup()
-    ratio = t_scratch / max(t_incr, 1e-9)
+def test_reweighting_sweep_at_least_10x_over_recompile(report):
+    t_scratch, t_sweep = reweighting_speedup()
+    ratio = t_scratch / max(t_sweep, 1e-9)
     report.append(
         f"E8  re-weighting: scratch {t_scratch * 1e3:.2f} ms vs "
-        f"incremental {t_incr * 1e6:.0f} µs -> {ratio:.0f}x"
+        f"sweep {t_sweep * 1e6:.0f} µs -> {ratio:.0f}x"
     )
     assert ratio >= 10.0
 
@@ -208,14 +204,14 @@ def main(argv=None):
             NONHIER, _nonhier_db(domain), f"nonh d={domain:<4d}"
         ):
             print(f"{name:20s} {seconds * 1e3:8.2f} ms  p={p:.6f}  size={size}")
-    t_scratch, t_incr = incremental_speedup(20 if args.smoke else 150)
-    ratio = t_scratch / max(t_incr, 1e-9)
+    t_scratch, t_sweep = reweighting_speedup(20 if args.smoke else 150)
+    ratio = t_scratch / max(t_sweep, 1e-9)
     print(
-        f"re-weighting: scratch {t_scratch * 1e3:.3f} ms vs incremental "
-        f"{t_incr * 1e6:.0f} µs -> {ratio:.0f}x"
+        f"re-weighting: scratch {t_scratch * 1e3:.3f} ms vs sweep "
+        f"{t_sweep * 1e6:.0f} µs -> {ratio:.0f}x"
     )
     if not args.smoke and ratio < 10.0:
-        print("FAIL: incremental re-weighting below the 10x bar", file=sys.stderr)
+        print("FAIL: re-weighting sweep below the 10x bar", file=sys.stderr)
         return 1
     try:
         t_rows, t_batch = batched_reweighting(20 if args.smoke else 100)

@@ -12,8 +12,8 @@ Modules:
 * :mod:`~repro.compile.obdd` — bottom-up Apply-based OBDD compiler;
 * :mod:`~repro.compile.dnnf` — top-down d-DNNF-style compiler
   mirroring the WMC decomposition;
-* :mod:`~repro.compile.evaluate` — linear-time evaluation, exact model
-  counting, incremental re-weighting;
+* :mod:`~repro.compile.evaluate` — linear-time evaluation (one row or
+  a batch of weight rows), exact model counting;
 * :mod:`~repro.compile.cache` — structural compiled-circuit cache.
 """
 
@@ -21,7 +21,6 @@ from .cache import CircuitCache
 from .circuit import BudgetExceeded, Circuit
 from .dnnf import CompiledDNNF, compile_dnnf
 from .evaluate import (
-    IncrementalEvaluator,
     model_count,
     probability,
     probability_batch,
@@ -42,7 +41,6 @@ __all__ = [
     "CircuitCache",
     "CompiledDNNF",
     "CompiledOBDD",
-    "IncrementalEvaluator",
     "OBDD",
     "ORDERINGS",
     "STRATEGIES",

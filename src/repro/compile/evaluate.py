@@ -12,9 +12,6 @@ probability query afterwards is a cheap pass.
   circuit across many answer tuples).
 * :func:`model_count` — exact model counting via the weight-½ trick
   with :class:`fractions.Fraction` arithmetic (no float loss).
-* :class:`IncrementalEvaluator` — re-weighting without recompilation:
-  change one tuple's marginal and only the literal's ancestors are
-  recomputed, typically a tiny fraction of the circuit.
 
 Soundness rests on the compilers' structural contract (decomposable
 AND, deterministic OR, see :mod:`repro.compile.circuit`): then
@@ -23,9 +20,8 @@ AND, deterministic OR, see :mod:`repro.compile.circuit`): then
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
 
 try:  # pragma: no cover - exercised by whichever env runs the suite
     import numpy as np
@@ -170,77 +166,3 @@ def model_count(
     scaled = probability(circuit, root, weights) * 2 ** len(variables)
     return int(scaled)
 
-
-class IncrementalEvaluator:
-    """Re-weighting service: update marginals, not the circuit.
-
-    Keeps the per-node values of one bottom-up evaluation plus the
-    reverse edges; :meth:`update` recomputes only the cone of ancestors
-    of the changed literals, in topological rank order.  For local
-    weight changes on a large shared circuit this touches a small
-    fraction of the nodes — the benchmark in
-    ``benchmarks/bench_compile.py`` shows the resulting ≥10× speedup
-    over recompiling and recounting from scratch.
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        root: NodeId,
-        weights: Mapping[Hashable, float],
-    ) -> None:
-        self.circuit = circuit
-        self.root = root
-        self.weights: Dict[Hashable, float] = dict(weights)
-        self._topo: List[NodeId] = circuit.topological(root)
-        self._rank: Dict[NodeId, int] = {
-            node: i for i, node in enumerate(self._topo)
-        }
-        self._parents: Dict[NodeId, List[NodeId]] = {}
-        self._literals: Dict[Hashable, List[NodeId]] = {}
-        for node in self._topo:
-            payload = circuit.payload(node)
-            if payload[0] == LIT:
-                self._literals.setdefault(payload[1], []).append(node)
-            for child in circuit.children(node):
-                self._parents.setdefault(child, []).append(node)
-        self._value: Dict[NodeId, float] = {}
-        for node in self._topo:
-            self._value[node] = _node_value(
-                circuit, node, self.weights, self._value, 1.0, 0.0
-            )
-        self.nodes_recomputed = 0
-
-    def probability(self) -> float:
-        return self._value[self.root]
-
-    def update(self, var: Hashable, weight: float) -> float:
-        """Set ``var``'s marginal and return the new root probability."""
-        return self.update_many({var: weight})
-
-    def update_many(self, changes: Mapping[Hashable, float]) -> float:
-        dirty: List[int] = []
-        queued: Set[NodeId] = set()
-        for var, weight in changes.items():
-            if var not in self._literals and var not in self.weights:
-                raise KeyError(f"unknown event {var!r}")
-            self.weights[var] = weight
-            for node in self._literals.get(var, ()):
-                if node not in queued:
-                    queued.add(node)
-                    heapq.heappush(dirty, self._rank[node])
-        while dirty:
-            node = self._topo[heapq.heappop(dirty)]
-            queued.discard(node)
-            fresh = _node_value(
-                self.circuit, node, self.weights, self._value, 1.0, 0.0
-            )
-            self.nodes_recomputed += 1
-            if fresh == self._value[node]:
-                continue
-            self._value[node] = fresh
-            for parent in self._parents.get(node, ()):
-                if parent not in queued:
-                    queued.add(parent)
-                    heapq.heappush(dirty, self._rank[parent])
-        return self._value[self.root]

@@ -9,8 +9,8 @@ small) — with a memoized Apply cache.
 
 The payoff over the Shannon-expansion WMC oracle is the *artifact*:
 once compiled, exact probability is a single linear pass over the
-nodes, repeatable for free under changed tuple marginals (incremental
-re-weighting), and cacheable across repeated queries.
+nodes, repeatable under changed tuple marginals without recompiling,
+and cacheable across repeated queries.
 """
 
 from __future__ import annotations

@@ -189,13 +189,12 @@ class MonteCarloEngine(Engine):
         self._record_run(self.samples, half_width)
         return estimate, half_width
 
+    # No caller in src/; kept because perfbench/tracing.py patches it.
     def estimate_lineage(self, lineage: Lineage) -> Tuple[float, float]:
         """Estimate plus half-width for an already-grounded lineage.
 
-        The serving layer's refresh path: after a probability-only
-        database change the clause structure of a cached lineage is
-        still valid, so sampling restarts from the (re-weighted)
-        lineage without paying for grounding again.
+        Sampling starts from the lineage as given, without paying for
+        grounding again.
         """
         estimate, half_width = estimate_lineage(
             lineage, self.samples, self.seed, self.backend
@@ -223,13 +222,9 @@ class MonteCarloEngine(Engine):
         Per-answer intervals and the total sample count are left in
         ``last_intervals`` / ``last_samples_drawn``.
         """
-        if query.head is None:
-            lineages = {(): ground_lineage(query, db, planner=self.planner)}
-        else:
-            lineages = ground_answer_lineages(
-                query, db, planner=self.planner
-            )
-        return self.answers_from_lineages(lineages, k)
+        return self.answers_from_lineages(
+            ground_answer_lineages(query, db, planner=self.planner), k
+        )
 
     def answers_from_lineages(
         self,

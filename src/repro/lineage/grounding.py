@@ -187,17 +187,14 @@ def ground_lineage(
     DNF (`make_lineage` dedupes and absorbs across disjuncts), so a
     UCQ lineage is indistinguishable from a CQ lineage downstream.
 
-    ``query`` is treated as Boolean (an explicit head is ignored); use
-    :func:`ground_answer_lineages` for per-answer lineages.
+    ``query`` is treated as Boolean (an explicit head is ignored): its
+    lineage is that of the one answer ``()`` of
+    :func:`ground_answer_lineages`, and false when nothing matches.
     """
-    weights: Dict[TupleKey, float] = {}
-    clauses: List[List[Literal]] = []
-    for disjunct in disjuncts_of(query):
-        for assignment in find_matches(disjunct, db, planner=planner):
-            clause = _match_clause(disjunct, db, assignment, weights)
-            if clause is not None:
-                clauses.append(clause)
-    return make_lineage(clauses, weights)
+    lineage = ground_answer_lineages(
+        query.boolean(), db, planner=planner
+    ).get(())
+    return lineage if lineage is not None else make_lineage((), {})
 
 
 def ground_answer_lineages(
@@ -213,14 +210,23 @@ def ground_answer_lineages(
     through its own head — and builds one DNF lineage per answer tuple
     over one shared weight map.  Answers whose every match is dead
     (impossible tuples) get a false lineage.  The result is ordered
-    canonically by answer tuple.
+    canonically by answer tuple.  A Boolean query is the answer query
+    with the empty head: its one answer is ``()``, absent when nothing
+    matches.
+
+    >>> from repro.core.parser import parse
+    >>> from repro.db.database import ProbabilisticDatabase
+    >>> db = ProbabilisticDatabase.from_dict(
+    ...     {"R": {(1,): 0.5, (2,): 0.9}, "S": {(1, 7): 0.4, (2, 7): 0.8}})
+    >>> ground_answer_lineages(parse("Q(x) :- R(x), S(x,y)"), db)
+    {(1,): Lineage(1 clauses, 2 events), (2,): Lineage(1 clauses, 2 events)}
+    >>> ground_answer_lineages(parse("R(x), S(x,y)"), db)
+    {(): Lineage(2 clauses, 4 events)}
     """
-    if query.head is None:
-        raise ValueError(f"query has no head variables: {query}")
     weights: Dict[TupleKey, float] = {}
     grouped: Dict[GroundTuple, List[List[Literal]]] = {}
     for disjunct in disjuncts_of(query):
-        head = disjunct.head
+        head = disjunct.head or ()
         for assignment in find_matches(disjunct, db, planner=planner):
             answer = tuple(
                 term.value if isinstance(term, Constant) else assignment[term]

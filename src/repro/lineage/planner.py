@@ -387,15 +387,17 @@ class GroundingPlanner:
         Purely introspective — never plans.  For a union the per-
         disjunct descriptions join with ``" | "``; ``None`` when no
         disjunct has a cached plan (e.g. the query went to a safe
-        tier and was never grounded).
+        tier and was never grounded).  A disjunct's Boolean body counts
+        as the disjunct: ``ground_lineage`` plans a headed query's body.
         """
         from ..core.union import disjuncts_of  # local: avoid cycle
 
         parts: List[str] = []
         for disjunct in disjuncts_of(query):
+            bodies = (disjunct, disjunct.boolean())
             described = None
             for key in reversed(self._cache):
-                if key[0] == disjunct:
+                if key[0] in bodies:
                     described = self._cache[key].describe()
                     break
             if described:

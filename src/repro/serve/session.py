@@ -24,11 +24,16 @@ work *across* calls:
   onto/off the {0, 1} boundary, new relation) ⇒ re-ground; the
   structural circuit cache still catches shape-identical lineages.
 
-* **Batched evaluation.**  :meth:`QuerySession.evaluate_many` /
-  :meth:`QuerySession.answers_many` group everything that lands on the
-  same canonical compiled circuit — all answers of one query *and*
-  same-shape queries across the batch — into one weight matrix and a
-  single vectorized bottom-up sweep
+* **One read path.**  A Boolean query is served as the answer query
+  with the empty head: its ranking is ``[((), p(q))]`` (empty when
+  ``p(q) = 0``), so :meth:`QuerySession.evaluate_many` and
+  :meth:`QuerySession.answers_many` share one prepared state, one
+  refresh, one safe-tier call and one fallback.
+
+* **Batched evaluation.**  Both batch calls group everything that lands
+  on the same canonical compiled circuit — all answers of one query
+  *and* same-shape queries across the batch — into one weight matrix
+  and a single vectorized bottom-up sweep
   (:func:`~repro.compile.evaluate.reweighted_probabilities`).
 
 The session reproduces the router's numbers exactly: every exact tier
@@ -64,7 +69,7 @@ from ..lineage.boolean import Lineage
 from ..lineage.grounding import (
     check_arities,
     ground_answer_lineages,
-    ground_lineage,
+    ground_lineage,  # unused here; perfbench/tracing.py patches it by name
 )
 from ..lineage.wmc import exact_probability
 
@@ -146,14 +151,14 @@ class PreparedQuery:
     name, or ``"unsafe"``).  For unsafe queries the grounded state
     below is valid as long as ``structure`` matches the database's
     structural snapshot; ``result`` is valid while the full snapshot
-    ``result_versions`` matches.
+    ``result_versions`` matches.  A Boolean query is the answer query
+    with the empty head, so its state is that of its one answer ``()``.
     """
 
     __slots__ = (
         "query", "shape", "relations", "tier", "plan",
         "result", "result_versions",
-        "structure", "lineage", "artifact", "events", "sources",
-        "groups", "trivial", "leftovers",
+        "structure", "groups", "trivial", "leftovers",
     )
 
     def __init__(self, query: AnyQuery, shape: str, tier: str) -> None:
@@ -167,18 +172,11 @@ class PreparedQuery:
         #: structural versions, so reweights reuse it and structural
         #: changes replan transparently.
         self.plan: Optional[str] = None
-        #: Cached result (float for Boolean, ranked answer list for
-        #: answer-tuple queries) + the snapshot it was computed under.
-        self.result = None
+        #: Cached full ranking + the snapshot it was computed under.
+        self.result: Optional[List[Answer]] = None
         self.result_versions: Optional[Tuple[RelationVersion, ...]] = None
         #: Structural snapshot the grounded state below belongs to.
         self.structure: Optional[Tuple[Tuple[str, int], ...]] = None
-        # Boolean unsafe state -------------------------------------------------
-        self.lineage: Optional[Lineage] = None
-        self.artifact: Optional[Artifact] = None
-        self.events: Optional[List[TupleKey]] = None
-        self.sources: Optional[List[TupleKey]] = None
-        # Answer-tuple unsafe state -------------------------------------------
         self.groups: Optional[List[CompiledGroup]] = None
         self.trivial: Optional[List[Answer]] = None
         self.leftovers: Optional[Dict[GroundTuple, Lineage]] = None
@@ -465,7 +463,7 @@ class QuerySession:
             )
 
     # ------------------------------------------------------------------
-    # Boolean evaluation
+    # Evaluation: one ranked-answer pipeline
     # ------------------------------------------------------------------
 
     def evaluate(self, query: QueryLike) -> float:
@@ -475,163 +473,18 @@ class QuerySession:
     def evaluate_many(self, queries: Sequence[QueryLike]) -> List[float]:
         """Evaluate a batch of Boolean queries.
 
+        A Boolean query is served as the answer query with the empty
+        head: ``p(q)`` is the probability of its one answer ``()``, or
+        0 when the ranking is empty.  Answer-tuple queries are read as
+        their Boolean existential closure (engine convention).
         Duplicate and same-shape queries collapse: every query whose
         canonical compiled circuit coincides contributes one weight row
-        to a shared batched sweep.  Answer-tuple queries are read as
-        their Boolean existential closure (engine convention).
+        to a shared batched sweep.
         """
-        unique: List[PreparedQuery] = []
-        slot_of: Dict[str, int] = {}
-        slots: List[int] = []
-        for query in queries:
-            parsed = self._parse(query)
-            prepared = self.prepare(parsed.boolean())
-            if prepared.shape not in slot_of:
-                slot_of[prepared.shape] = len(unique)
-                unique.append(prepared)
-            slots.append(slot_of[prepared.shape])
-        results: List[Optional[float]] = [None] * len(unique)
-        batch = _ArtifactBatch(self.stats, self._stage_seconds, self.tracer)
-        deferred: List[Tuple[int, PreparedQuery, Tuple[RelationVersion, ...]]] = []
-        for index, prepared in enumerate(unique):
-            with self.tracer.span(
-                "evaluate", shape=prepared.shape, tier=prepared.tier
-            ):
-                start = time.perf_counter()
-                value = self._evaluate_boolean(prepared, batch, results,
-                                               index, deferred)
-                self._observe_query(
-                    "evaluate", prepared, time.perf_counter() - start
-                )
-            if value is not None:
-                results[index] = value
-        batch.flush()
-        for index, prepared, snapshot in deferred:
-            self._store(prepared, snapshot, results[index])
-        return [results[slot] for slot in slots]
-
-    def _evaluate_boolean(
-        self,
-        prepared: PreparedQuery,
-        batch: _ArtifactBatch,
-        results: List[Optional[float]],
-        index: int,
-        deferred: list,
-    ) -> Optional[float]:
-        """One Boolean query; returns its value, or None when a row was
-        deferred into the batch (the sink fills ``results[index]``)."""
-        snapshot = self.db.version_snapshot(prepared.relations)
-        if prepared.result_versions == snapshot:
-            self.stats.result_hits += 1
-            self._results_total.labels("cached").inc()
-            return prepared.result
-        query = prepared.query
-        if prepared.tier != "unsafe":
-            engine = (
-                self.router.safe_plan
-                if prepared.tier == self.router.safe_plan.name
-                else self.router.lifted
-            )
-            start = time.perf_counter()
-            value = engine.probability(query, self.db)
-            self._stage_seconds.labels("safe").observe(
-                time.perf_counter() - start
-            )
-            self.stats.safe_evaluations += 1
-            self._results_total.labels("safe").inc()
-            self._store(prepared, snapshot, value)
-            return value
-        self._refresh_boolean(prepared, snapshot)
-        lineage = prepared.lineage
-        if lineage.certainly_true:
-            value = 1.0
-        elif lineage.is_false:
-            value = 0.0
-        elif prepared.artifact is not None:
-            def sink(value: float, index: int = index) -> None:
-                results[index] = value
-
-            batch.add(
-                prepared.artifact, prepared.events,
-                self._weight_row(prepared.sources), sink,
-            )
-            deferred.append((index, prepared, snapshot))
-            return None
-        else:
-            value = self._fallback_probability(lineage)
-        self._store(prepared, snapshot, value)
-        return value
-
-    def _refresh_boolean(
-        self, prepared: PreparedQuery, snapshot: Tuple[RelationVersion, ...]
-    ) -> None:
-        """Re-ground on structural change; otherwise keep the circuit."""
-        structure = _structure_of(snapshot)
-        if prepared.structure == structure:
-            self.stats.reweights += 1
-            self._results_total.labels("reweighted").inc()
-            return
-        with self.tracer.span("ground", shape=prepared.shape):
-            start = time.perf_counter()
-            lineage = ground_lineage(
-                prepared.query, self.db,
-                planner=self.router.grounding_planner,
-            )
-            prepared.plan = self.router.grounding_planner.describe_cached(
-                prepared.query
-            )
-            self._stage_seconds.labels("ground").observe(
-                time.perf_counter() - start
-            )
-        prepared.lineage = lineage
-        prepared.artifact = prepared.events = prepared.sources = None
-        if (
-            self.router.compiled is not None
-            and not lineage.certainly_true
-            and not lineage.is_false
-        ):
-            with self.tracer.span("compile", shape=prepared.shape):
-                start = time.perf_counter()
-                canonical, weights, renaming = canonicalize_lineage(lineage)
-                try:
-                    artifact = self.router.compiled.compile_lineage(canonical)
-                except UnsupportedQueryError:
-                    artifact = None
-                self._stage_seconds.labels("compile").observe(
-                    time.perf_counter() - start
-                )
-            if artifact is not None:
-                events = sorted(weights)
-                inverse = {new: old for old, new in renaming.items()}
-                prepared.artifact = artifact
-                prepared.events = events
-                prepared.sources = [inverse[event] for event in events]
-        prepared.structure = structure
-        self.stats.regrounds += 1
-        self._results_total.labels("grounded").inc()
-
-    def _fallback_probability(self, lineage: Lineage) -> float:
-        """The router's tier-4 fallback, fed the cached lineage."""
-        fresh = self._fresh_lineage(lineage)
-        self.stats.fallbacks += 1
-        self._results_total.labels("fallback").inc()
-        with self.tracer.span("fallback"):
-            start = time.perf_counter()
-            if self.router.exact_fallback:
-                value = float(exact_probability(fresh))
-            else:
-                estimate, _half_width = (
-                    self.router.monte_carlo.estimate_lineage(fresh)
-                )
-                value = clamp01(estimate)
-            self._stage_seconds.labels("fallback").observe(
-                time.perf_counter() - start
-            )
-        return value
-
-    # ------------------------------------------------------------------
-    # Answer-tuple evaluation
-    # ------------------------------------------------------------------
+        rankings = self._rank_many(
+            [self._parse(query).boolean() for query in queries], "evaluate"
+        )
+        return [ranking[0][1] if ranking else 0.0 for ranking in rankings]
 
     def answers(
         self, query: QueryLike, k: Optional[int] = None
@@ -648,41 +501,39 @@ class QuerySession:
         — within one query and across same-shape queries — share one
         batched sweep.  The *full* ranking is cached; ``k`` truncates
         per call, so changing ``k`` against an unchanged database is a
-        pure cache hit.
+        pure cache hit.  A Boolean query ranks its one answer ``()``.
         """
+        # Always a fresh list: the full ranking also lives in the result
+        # cache, and callers are free to mutate theirs.
+        return [
+            list(ranked) if k is None else ranked[:k]
+            for ranked in self._rank_many(queries, "answers")
+        ]
+
+    def _rank_many(
+        self, queries: Sequence[QueryLike], kind: str
+    ) -> List[List[Answer]]:
+        """The full cached ranking of every query, in order; ``kind``
+        names the spans and the per-query timer."""
         unique: List[PreparedQuery] = []
         slot_of: Dict[str, int] = {}
         slots: List[int] = []
-        boolean_queries: List[AnyQuery] = []
         for query in queries:
-            parsed = self._parse(query)
-            if parsed.head is None:
-                # Boolean query: single answer () with p(q), like the
-                # router.  Deferred so all Boolean members of the batch
-                # share one evaluate_many sweep.
-                slots.append(-len(boolean_queries) - 1)
-                boolean_queries.append(parsed)
-                continue
-            prepared = self.prepare(parsed)
+            prepared = self.prepare(query)
             if prepared.shape not in slot_of:
                 slot_of[prepared.shape] = len(unique)
                 unique.append(prepared)
             slots.append(slot_of[prepared.shape])
-        boolean = (
-            self.evaluate_many(boolean_queries) if boolean_queries else []
-        )
         results: List[Optional[List[Answer]]] = [None] * len(unique)
         batch = _ArtifactBatch(self.stats, self._stage_seconds, self.tracer)
         finals: List[Tuple[int, PreparedQuery, Tuple[RelationVersion, ...], List[Answer]]] = []
         for index, prepared in enumerate(unique):
             with self.tracer.span(
-                "answers", shape=prepared.shape, tier=prepared.tier
+                kind, shape=prepared.shape, tier=prepared.tier
             ):
                 start = time.perf_counter()
-                ranked = self._evaluate_answers(prepared, batch, finals, index)
-                self._observe_query(
-                    "answers", prepared, time.perf_counter() - start
-                )
+                ranked = self._rank(prepared, batch, finals, index)
+                self._observe_query(kind, prepared, time.perf_counter() - start)
             if ranked is not None:
                 results[index] = ranked
         batch.flush()
@@ -690,46 +541,30 @@ class QuerySession:
             ranked = rank_answers(collected)
             self._store(prepared, snapshot, ranked)
             results[index] = ranked
-        out: List[List[Answer]] = []
-        for slot in slots:
-            if slot < 0:
-                value = boolean[-slot - 1]
-                ranked = rank_answers([((), value)])
-            else:
-                ranked = results[slot]
-            # Always a fresh list: the full ranking also lives in the
-            # result cache, and callers are free to mutate theirs.
-            out.append(list(ranked) if k is None else ranked[:k])
-        return out
+        return [results[slot] for slot in slots]
 
-    def _evaluate_answers(
+    def _rank(
         self,
         prepared: PreparedQuery,
         batch: _ArtifactBatch,
         finals: list,
         index: int,
     ) -> Optional[List[Answer]]:
-        """One answer query; returns the cached/safe ranking, or None
-        when compiled rows were deferred (``finals`` completes it)."""
+        """One query; returns the cached/safe ranking, or None when
+        compiled rows were deferred (``finals`` completes it)."""
         snapshot = self.db.version_snapshot(prepared.relations)
         if prepared.result_versions == snapshot:
             self.stats.result_hits += 1
             self._results_total.labels("cached").inc()
             return prepared.result
-        query = prepared.query
-        if prepared.tier == self.router.safe_plan.name:
+        if prepared.tier != "unsafe":
             start = time.perf_counter()
-            ranked = self.router.safe_plan.answers(query, self.db)
-            self._stage_seconds.labels("safe").observe(
-                time.perf_counter() - start
-            )
-            self.stats.safe_evaluations += 1
-            self._results_total.labels("safe").inc()
-            self._store(prepared, snapshot, ranked)
-            return ranked
-        if prepared.tier == self.router.lifted.name:
-            start = time.perf_counter()
-            ranked = self.router.lifted.answers(query, self.db, assume_safe=True)
+            if prepared.tier == self.router.safe_plan.name:
+                ranked = self.router.safe_plan.answers(prepared.query, self.db)
+            else:
+                ranked = self.router.lifted.answers(
+                    prepared.query, self.db, assume_safe=True
+                )
             self._stage_seconds.labels("safe").observe(
                 time.perf_counter() - start
             )
@@ -753,7 +588,7 @@ class QuerySession:
     def _refresh_answers(
         self, prepared: PreparedQuery, snapshot: Tuple[RelationVersion, ...]
     ) -> None:
-        """Answer-query grounding state, rebuilt only on structure change."""
+        """Grounding and circuits, rebuilt only on structure change."""
         structure = _structure_of(snapshot)
         if prepared.structure == structure:
             self.stats.reweights += 1
@@ -784,15 +619,16 @@ class QuerySession:
             if self.router.compiled is None:
                 leftovers[answer] = lineage
                 continue
-            start = time.perf_counter()
-            canonical, weights, renaming = canonicalize_lineage(lineage)
-            try:
-                artifact = self.router.compiled.compile_lineage(canonical)
-            except UnsupportedQueryError:
-                artifact = None
-            self._stage_seconds.labels("compile").observe(
-                time.perf_counter() - start
-            )
+            with self.tracer.span("compile", shape=prepared.shape):
+                start = time.perf_counter()
+                canonical, weights, renaming = canonicalize_lineage(lineage)
+                try:
+                    artifact = self.router.compiled.compile_lineage(canonical)
+                except UnsupportedQueryError:
+                    artifact = None
+                self._stage_seconds.labels("compile").observe(
+                    time.perf_counter() - start
+                )
             if artifact is None:
                 leftovers[answer] = lineage
                 continue

@@ -132,11 +132,40 @@ def test_grouped_lineages_match_per_answer_grounding(text):
         )
 
 
-def test_ground_answer_lineages_requires_head():
-    q = parse("R(x), S(x,y)")
-    db = random_database_for_query(q, 2, seed=0)
-    with pytest.raises(ValueError):
-        ground_answer_lineages(q, db)
+#: Tuples for the Boolean grounding cases that match uncertain tuples.
+_CHAIN = {
+    "R": {(1,): 0.5, (2,): 0.7},
+    "S": {(1, 3): 0.4, (2, 3): 0.6, (2, 4): 0.9},
+    "T": {(3,): 0.8, (4,): 0.2},
+}
+
+#: Boolean grounding cases: (query, database, answer keys).
+BOOLEAN_GROUNDING = {
+    "cq": ("R(x), S(x,y), T(y)", _CHAIN, [()]),
+    "ucq": ("R(x), S(x,y) | S(u,v), T(v)", _CHAIN, [()]),
+    "no-match": ("R(x), S(x,y)", {"R": {(1,): 0.5}, "S": {(2, 3): 0.4}}, []),
+    "certain-match": (
+        "R(x), S(x,y)",
+        {"R": {(1,): 1.0, (2,): 0.3}, "S": {(1, 5): 1.0, (3, 4): 0.6}},
+        [()],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BOOLEAN_GROUNDING)
+def test_boolean_query_grounds_to_the_empty_answer(case):
+    from repro.db.database import ProbabilisticDatabase
+    from repro.lineage.boolean import make_lineage
+
+    text, rows, keys = BOOLEAN_GROUNDING[case]
+    q = parse(text)
+    db = ProbabilisticDatabase.from_dict(rows)
+    lineages = ground_answer_lineages(q, db)
+    assert list(lineages) == keys
+    expected = ground_lineage(q, db)
+    assert lineages.get((), make_lineage((), {})) == expected
+    assert expected.certainly_true == (case == "certain-match")
+    assert expected.is_false == (case == "no-match")
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from repro.compile import (
     BudgetExceeded,
     Circuit,
     CircuitCache,
-    IncrementalEvaluator,
     compile_dnnf,
     compile_obdd,
     make_order,
@@ -332,42 +331,6 @@ class TestEvaluate:
             model_count(result.circuit, result.root, lin.events()),
             2 ** lin.variable_count,
         )
-
-    def test_incremental_matches_full_reevaluation(self):
-        q = parse("R(x), S(x,y), T(y)")
-        db = random_database_for_query(q, 3, density=0.8, seed=0)
-        lin = ground_lineage(q, db)
-        result = compile_obdd(lin, "auto", q)
-        circuit, root = result.obdd.to_circuit(result.root)
-        evaluator = IncrementalEvaluator(circuit, root, lin.weights)
-        assert evaluator.probability() == pytest.approx(
-            exact_probability(lin), abs=1e-12
-        )
-        for i, event in enumerate(sorted(lin.events(), key=str)):
-            new_weight = 0.05 + 0.9 * (i / lin.variable_count)
-            incremental = evaluator.update(event, new_weight)
-            full = probability(circuit, root, evaluator.weights)
-            assert incremental == pytest.approx(full, abs=1e-12)
-
-    def test_incremental_touches_fraction_of_circuit(self):
-        q = parse("R(x), S(x,y)")
-        db = star_join_instance(12, 4, seed=3)
-        lin = ground_lineage(q, db)
-        result = compile_obdd(lin, "hierarchy", q)
-        circuit, root = result.obdd.to_circuit(result.root)
-        evaluator = IncrementalEvaluator(circuit, root, lin.weights)
-        total = circuit.node_count(root)
-        event = sorted(lin.events(), key=str)[0]
-        evaluator.update(event, 0.123)
-        assert evaluator.nodes_recomputed < total / 2
-
-    def test_unknown_event_raises(self):
-        lin = _simple_lineage()
-        result = compile_obdd(lin)
-        circuit, root = result.obdd.to_circuit(result.root)
-        evaluator = IncrementalEvaluator(circuit, root, lin.weights)
-        with pytest.raises(KeyError):
-            evaluator.update(("Q", (99,)), 0.5)
 
 
 # ----------------------------------------------------------------------

@@ -476,6 +476,10 @@ def test_router_decision_exposes_plan():
     assert decision.grounding_plan, decision
     assert "R(" in decision.grounding_plan
     assert "[plan:" in decision.describe()
+    # Read as Boolean, a headed query grounds its Boolean body: the
+    # decision still carries that plan.
+    router.probability(parse("Q(x) :- R(x,y), R(y,z)"), db)
+    assert router.history[-1].grounding_plan == decision.grounding_plan
     # A safe query never grounds, so no plan is attached.
     router.probability(query(atom("T", "x")), db)
     assert router.history[-1].grounding_plan is None

@@ -253,6 +253,71 @@ def test_boolean_query_through_answers_api():
     assert ranked == [((), pytest.approx(session.evaluate(query)))]
 
 
+#: One Boolean query per serving tier: (query, session keywords, the
+#: counter its random-instance read bumps).
+BOOLEAN_TIERS = {
+    "safe-plan": ("R(x), S(x,y)", {}, "safe_evaluations"),
+    "lifted": ("R(x,y), R(y,x)", {}, "safe_evaluations"),
+    "compiled": ("R(x), S(x,y), T(y)", {}, "batched_rows"),
+    "exact-fallback": (
+        "R(x), S(x,y), T(y)",
+        {"compile_budget": 0, "exact_fallback": True},
+        "fallbacks",
+    ),
+    "monte-carlo": (
+        "R(x), S(x,y), T(y)", {"compile_budget": 0, "mc_seed": 3}, "fallbacks",
+    ),
+}
+
+#: Per Boolean query: an instance with tuples but no match, and one
+#: whose only match uses certain tuples.
+EDGE_INSTANCES = {
+    "R(x), S(x,y)": (
+        {"R": {(1,): 0.5}, "S": {(2, 3): 0.4}},
+        {"R": {(1,): 1.0, (2,): 0.5}, "S": {(1, 3): 1.0}},
+    ),
+    "R(x,y), R(y,x)": (
+        {"R": {(1, 2): 0.5, (2, 3): 0.4}},
+        {"R": {(1, 2): 1.0, (2, 1): 1.0, (2, 3): 0.4}},
+    ),
+    "R(x), S(x,y), T(y)": (
+        {"R": {(1,): 0.5}, "S": {(1, 2): 0.4}, "T": {(3,): 0.6}},
+        {"R": {(1,): 1.0, (4,): 0.5}, "S": {(1, 2): 1.0}, "T": {(2,): 1.0}},
+    ),
+}
+
+
+@pytest.mark.parametrize("instance", ["random", "no-match", "certain-match"])
+@pytest.mark.parametrize("tier", BOOLEAN_TIERS)
+def test_boolean_answers_equal_evaluate_on_every_tier(tier, instance):
+    text, config, counter = BOOLEAN_TIERS[tier]
+    query = parse(text)
+    if instance == "random":
+        db = random_database_for_query(query, 3, density=0.7, seed=4)
+    else:
+        no_match, certain = EDGE_INSTANCES[text]
+        db = ProbabilisticDatabase.from_dict(
+            no_match if instance == "no-match" else certain
+        )
+    session = QuerySession(db, **config)
+    ranked = session.answers(query)
+    value = session.evaluate(query)
+    assert session.stats.prepared == 1  # one entry serves both calls
+    assert session.stats.result_hits == 1
+    routed = tier if tier in ("safe-plan", "lifted") else "unsafe"
+    assert session.prepare(query).tier == routed
+    if instance == "no-match":
+        assert (value, ranked) == (0.0, [])
+        return
+    assert ranked == [((), value)]
+    if instance == "certain-match":
+        assert value == 1.0
+        return
+    assert getattr(session.stats, counter) == 1
+    tolerance = 0.05 if tier == "monte-carlo" else 1e-9
+    assert value == pytest.approx(fresh_probability(query, db), abs=tolerance)
+
+
 def test_answers_many_batches_its_boolean_members():
     db = _mirror_db()
     session = QuerySession(db, exact_fallback=True)

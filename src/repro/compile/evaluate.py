@@ -8,7 +8,7 @@ probability query afterwards is a cheap pass.
 * :func:`probability_batch` — the same sweep, vectorized: one circuit,
   a ``(batch, n_events)`` weight matrix, numpy vectors as node values;
   the whole batch costs one topological pass instead of ``batch`` of
-  them (how :meth:`CompiledEngine.answers` re-weights one shared
+  them (how :meth:`CompiledEngine.answers_from_lineages` re-weights one shared
   circuit across many answer tuples).
 * :func:`model_count` — exact model counting via the weight-½ trick
   with :class:`fractions.Fraction` arithmetic (no float loss).
@@ -119,7 +119,7 @@ def reweighted_probabilities(
     """One compiled artifact evaluated under many weight vectors.
 
     The batched re-weighting path shared by
-    :meth:`CompiledEngine.answers <repro.engines.compiled.CompiledEngine.answers>`
+    :meth:`CompiledEngine.answers_from_lineages <repro.engines.compiled.CompiledEngine.answers_from_lineages>`
     (answers of one query on a shared canonical circuit) and the
     serving layer (same-shape queries across a batch, probability-only
     refreshes): ``artifact`` is a compiled OBDD/d-DNNF, ``events`` its

@@ -22,8 +22,6 @@ from .montecarlo import (
     KarpLubySampler,
     MonteCarloEngine,
     estimate_lineage,
-    estimate_with_error,
-    karp_luby_estimate,
     naive_estimate,
     resolve_backend,
 )
@@ -49,10 +47,8 @@ __all__ = [
     "UnsupportedQueryError",
     "canonicalize_lineage",
     "estimate_lineage",
-    "estimate_with_error",
     "generic_residual",
     "is_safe_query",
-    "karp_luby_estimate",
     "may_share_tuple",
     "naive_estimate",
     "queries_independent",

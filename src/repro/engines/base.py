@@ -61,7 +61,6 @@ class Engine(abc.ABC):
     #: Human-readable engine name, used by the router and benchmark reports.
     name: str = "engine"
 
-    @abc.abstractmethod
     def probability(
         self, query: AnyQuery, db: ProbabilisticDatabase
     ) -> float:
@@ -71,8 +70,13 @@ class Engine(abc.ABC):
         :class:`~repro.core.union.UnionQuery` (engines that only handle
         CQs say so through :meth:`supports`).  An answer-tuple query is
         read as its Boolean existential closure (the head does not add
-        sub-goals).
+        sub-goals).  ``p(q)`` is the one answer ``()`` of the query with
+        the empty head, read off :meth:`answers` (0 when the ranking is
+        empty); the safe-plan, lifted and brute-force engines override
+        this with their core recursion.
         """
+        ranking = self.answers(query.boolean(), db)
+        return ranking[0][1] if ranking else 0.0
 
     def supports(self, query: AnyQuery) -> Optional[str]:
         """``None`` when the engine's *syntactic* preconditions admit
@@ -103,6 +107,7 @@ class Engine(abc.ABC):
         if reason is not None:
             raise UnsupportedQueryError(f"{reason}: {query}")
 
+    @abc.abstractmethod
     def answers(
         self,
         query: AnyQuery,
@@ -112,18 +117,20 @@ class Engine(abc.ABC):
         """The answer tuples of ``query``, ranked by probability.
 
         A Boolean query yields the single answer ``()`` with ``p(q)``.
-        The default implementation enumerates candidate answers with
-        one shared grounding pass, then evaluates each *residual*
-        Boolean query (head variables bound to the answer's constants)
-        through :meth:`probability`; engines override this with
-        shared-work plans.
+        This body, for engines whose core is :meth:`probability`,
+        enumerates candidate answers with one shared grounding pass,
+        then evaluates each *residual* Boolean query (head variables
+        bound to the answer's constants) through :meth:`probability`;
+        engines override it with shared-work plans, and those that
+        override :meth:`probability` call it for a Boolean query.
 
         Args:
             query: Boolean or answer-tuple conjunctive query (an
                 answer-tuple query carries a head, e.g. parsed from
                 ``"Q(x) :- R(x), S(x,y)"``).
             db: the database to evaluate over.
-            k: keep only the ``k`` most probable answers (None = all).
+            k: keep only the ``k`` most probable answers (None = all;
+                0 = none).
 
         Returns:
             ``(answer tuple, probability)`` pairs sorted by descending
@@ -136,6 +143,7 @@ class Engine(abc.ABC):
                 engine).
             UnsafeQueryError: the lifted engine found no PTIME
                 decomposition — the query is #P-hard.
+            ValueError: negative ``k``.
 
         Example (with the router as the engine)::
 
@@ -161,11 +169,18 @@ class Engine(abc.ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
+def check_top_k(k: Optional[int]) -> None:
+    """Reject a negative ``k``: a slice would drop answers silently."""
+    if k is not None and k < 0:
+        raise ValueError(f"k must be None or >= 0, got {k}")
+
+
 def rank_answers(
     results: List[Answer], k: Optional[int] = None
 ) -> List[Answer]:
     """Sort by descending probability (ties by canonical tuple order),
-    drop exact zeros, truncate to the top ``k``."""
+    drop exact zeros, truncate to the top ``k`` (negative: ValueError)."""
+    check_top_k(k)
     ranked = sorted(
         (item for item in results if item[1] > 0.0),
         key=lambda item: (-item[1], canonical_row_key(item[0])),

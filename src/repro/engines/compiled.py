@@ -16,9 +16,11 @@ Modes:
   re-evaluate), fall back to d-DNNF when the OBDD blows the node
   budget.
 
-With ``max_nodes`` set, compilation failure raises
-:class:`UnsupportedQueryError`, which the router interprets as "fall
-through to Monte Carlo".
+Every read goes through :meth:`CompiledEngine.answers_from_lineages`,
+which compiles canonical lineages with no query hint, as serving does.
+With ``max_nodes`` set, a lineage that does not compile is reported
+with its reason, which the router reads as "fall through to Monte
+Carlo".
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from ..compile.evaluate import reweighted_probabilities
 from ..compile.obdd import CompiledOBDD, compile_obdd
 from ..core.query import ConjunctiveQuery
 from ..core.union import AnyQuery
-from ..db.database import ProbabilisticDatabase, TupleKey
+from ..db.database import GroundTuple, ProbabilisticDatabase, TupleKey
 from ..db.relation import canonical_row_key
 from ..lineage.boolean import Lineage
-from ..lineage.grounding import ground_answer_lineages, ground_lineage
+from ..lineage.grounding import ground_answer_lineages
 from ..lineage.planner import GroundingPlanner
 from .base import Answer, Engine, UnsupportedQueryError, clamp01, rank_answers
 
@@ -88,36 +90,26 @@ class CompiledEngine(Engine):
         self.planner = planner
         self.last_report: Optional[CompilationReport] = None
 
-    def probability(
-        self, query: AnyQuery, db: ProbabilisticDatabase
-    ) -> float:
-        lineage = ground_lineage(query, db, planner=self.planner)
-        # The query only guides the OBDD variable order, and the order
-        # heuristics read CQ structure — a union compiles order-free
-        # from its (already DNF) lineage.
-        hint = query if isinstance(query, ConjunctiveQuery) else None
-        return self.probability_of_lineage(lineage, hint)
-
-    def probability_of_lineage(
-        self, lineage: Lineage, query: Optional[ConjunctiveQuery] = None
-    ) -> float:
-        """Exact probability of an already-grounded lineage."""
-        if lineage.certainly_true:
-            return 1.0
-        if lineage.is_false:
-            return 0.0
-        artifact = self.compile_lineage(lineage, query)
-        value = float(artifact.probability(lineage.weights))
-        # Deterministic sums can drift by float epsilons on huge circuits.
-        return clamp01(value)
-
     def answers(
         self,
         query: AnyQuery,
         db: ProbabilisticDatabase,
         k: Optional[int] = None,
     ) -> List[Answer]:
-        """Per-answer lineages compiled through one shared circuit.
+        """Per-answer lineages through :meth:`answers_from_lineages`;
+        raises :class:`UnsupportedQueryError` when one did not compile
+        within ``max_nodes``."""
+        values, failed = self.answers_from_lineages(
+            ground_answer_lineages(query, db, planner=self.planner)
+        )
+        if failed:
+            raise UnsupportedQueryError(next(iter(failed.values())))
+        return rank_answers(values, k)
+
+    def answers_from_lineages(
+        self, lineages: Dict[GroundTuple, Lineage]
+    ) -> Tuple[List[Answer], Dict[GroundTuple, str]]:
+        """Exact values of already-grounded per-answer lineages.
 
         The per-answer lineages of one query are instances of the same
         clause *shape* — only the tuple events differ.  Each lineage is
@@ -128,15 +120,16 @@ class CompiledEngine(Engine):
         of one weight matrix and a single batched bottom-up sweep
         (``probability_batch``) evaluates every answer at once, instead
         of one linear pass per answer.
+
+        Returns the ``(answer, probability)`` pairs, unranked and with
+        zeros kept, and every answer whose lineage did not compile
+        within ``max_nodes``, mapped to the reason.
         """
-        if query.head is None:
-            return super().answers(query, db, k)
         results: List[Answer] = []
+        failed: Dict[GroundTuple, str] = {}
         # cache key -> (artifact, canonical event order, [(answer, weights)])
         groups: Dict[Hashable, Tuple[Artifact, List, List]] = {}
-        for answer, lineage in ground_answer_lineages(
-            query, db, planner=self.planner
-        ).items():
+        for answer, lineage in lineages.items():
             if lineage.certainly_true:
                 results.append((answer, 1.0))
                 continue
@@ -147,7 +140,11 @@ class CompiledEngine(Engine):
             key = CircuitCache.key_for(canonical, self.mode, self.ordering)
             entry = groups.get(key)
             if entry is None:
-                artifact = self.compile_lineage(canonical, None)
+                try:
+                    artifact = self.compile_lineage(canonical)
+                except UnsupportedQueryError as error:
+                    failed[answer] = str(error)
+                    continue
                 # Same clause set => same canonical event set, so the
                 # first member's event order serves the whole group.
                 entry = groups[key] = (artifact, sorted(weights), [])
@@ -157,19 +154,7 @@ class CompiledEngine(Engine):
             values = reweighted_probabilities(artifact, events, rows)
             for (answer, _w), value in zip(members, values):
                 results.append((answer, clamp01(value)))
-        return rank_answers(results, k)
-
-    def answer_probability(self, lineage: Lineage) -> float:
-        """Probability of one answer's lineage via the shape-canonical
-        circuit cache."""
-        if lineage.certainly_true:
-            return 1.0
-        if lineage.is_false:
-            return 0.0
-        canonical, weights, _renaming = canonicalize_lineage(lineage)
-        artifact = self.compile_lineage(canonical, None)
-        value = float(artifact.probability(weights))
-        return clamp01(value)
+        return results, failed
 
     def compile_lineage(
         self, lineage: Lineage, query: Optional[ConjunctiveQuery] = None

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 from ..core.union import AnyQuery
 from ..db.database import ProbabilisticDatabase
-from ..lineage.grounding import ground_answer_lineages, ground_lineage
+from ..lineage.grounding import ground_answer_lineages
 from ..lineage.planner import GroundingPlanner
 from ..lineage.wmc import exact_probability
 from .base import Answer, Engine, rank_answers
@@ -31,13 +31,6 @@ class LineageEngine(Engine):
     def __init__(self, planner: Optional[GroundingPlanner] = None) -> None:
         self.planner = planner
 
-    def probability(
-        self, query: AnyQuery, db: ProbabilisticDatabase
-    ) -> float:
-        return exact_probability(
-            ground_lineage(query, db, planner=self.planner)
-        )
-
     def answers(
         self,
         query: AnyQuery,
@@ -45,8 +38,6 @@ class LineageEngine(Engine):
         k: Optional[int] = None,
     ) -> List[Answer]:
         """One shared grounding pass, one WMC run per answer lineage."""
-        if query.head is None:
-            return super().answers(query, db, k)
         results = [
             (answer, exact_probability(lineage))
             for answer, lineage in ground_answer_lineages(

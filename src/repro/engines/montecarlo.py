@@ -1,13 +1,13 @@
-"""Monte Carlo estimators — MystiQ's fallback for unsafe queries.
+"""Monte Carlo estimation — MystiQ's fallback for unsafe queries.
 
-Two estimators over the grounded DNF lineage:
-
-* **naive sampling**: draw worlds of the events mentioned by the
-  lineage, count satisfied DNFs.  Simple but inaccurate when the
-  query probability is tiny.
-* **Karp–Luby**: the classical FPRAS for DNF counting, adapted to
-  weighted (probabilistic) literals; relative error is controlled
-  regardless of how small the answer is.
+:class:`MonteCarloEngine` samples the grounded DNF lineage with the
+**Karp–Luby** estimator: the classical FPRAS for DNF counting, adapted
+to weighted (probabilistic) literals, whose relative error is
+controlled regardless of how small the answer is.
+:func:`naive_estimate` — draw worlds of the events the lineage
+mentions, count satisfied DNFs; simple but inaccurate when the query
+probability is tiny — stays as a function, the baseline that the
+sampling benchmark and the parity tests hold Karp–Luby against.
 
 The paper's introduction motivates the dichotomy with exactly this
 trade-off: safe plans answer in seconds, simulation in minutes — one
@@ -29,12 +29,13 @@ The estimators come in two backends:
 ``backend="auto"`` (the default everywhere) picks numpy when it is
 installed, python otherwise.
 
-For answer-tuple queries, :meth:`MonteCarloEngine.answers` runs a
-*multisimulation*: one incremental Karp–Luby sampler per answer, with
-sampling focused on the answers whose confidence intervals still
-overlap the top-k boundary.  Answers whose interval is dominated stop
-consuming samples, so ranking the top k converges far faster than k
-independent full-precision runs.
+Every read is a *multisimulation* (:meth:`MonteCarloEngine.answers`):
+one incremental Karp–Luby sampler per answer, with sampling focused on
+the answers whose confidence intervals still overlap the top-k
+boundary.  Answers whose interval is dominated stop consuming samples,
+so ranking the top k converges far faster than k independent
+full-precision runs.  ``p(q)`` is the one answer ``()`` of the query
+with the empty head, sampled the same way.
 """
 
 from __future__ import annotations
@@ -51,13 +52,16 @@ except ImportError:  # pragma: no cover
 from ..core.union import AnyQuery
 from ..db.database import GroundTuple, ProbabilisticDatabase, TupleKey
 from ..lineage.boolean import Clause, Lineage
-from ..lineage.grounding import ground_answer_lineages, ground_lineage
+from ..lineage.grounding import ground_answer_lineages
 from ..lineage.packed import PackedLineage, SampleArena, clause_sort_key
 from ..lineage.planner import GroundingPlanner
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
 from .base import Answer, Engine, clamp01, rank_answers
 
 BACKENDS = ("auto", "numpy", "python")
+
+#: The estimator's label on ``repro_mc_samples_total``.
+METHOD = "karp-luby"
 
 #: Cap on elements per numpy intermediate (~bytes, matrices are bool):
 #: keeps the world/satisfaction matrices cache-friendly and bounds
@@ -87,23 +91,20 @@ def _batches(samples: int, per_sample_cost: int) -> Iterator[int]:
 
 
 class MonteCarloEngine(Engine):
-    """Estimate ``p(q)`` by sampling the grounded lineage."""
+    """Estimate answer probabilities by Karp–Luby sampling of the
+    grounded lineages."""
 
     name = "monte-carlo"
 
     def __init__(
         self,
         samples: int = 20_000,
-        method: str = "karp-luby",
         seed: Optional[int] = None,
         backend: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
         planner: Optional[GroundingPlanner] = None,
     ) -> None:
-        if method not in ("karp-luby", "naive"):
-            raise ValueError(f"unknown Monte Carlo method {method!r}")
         self.samples = samples
-        self.method = method
         self.seed = seed
         self.backend = resolve_backend(backend)
         self.planner = planner
@@ -138,56 +139,18 @@ class MonteCarloEngine(Engine):
         """A clone of this engine with selected knobs overridden.
 
         Unlike rebuilding by hand with ``type(engine)(...)``, the clone
-        keeps *every* constructor argument — method, seed, backend and
+        keeps *every* constructor argument — seed, backend, planner and
         the metrics registry — so per-call overrides (the serving
         layer's ``samples=`` escape hatch) do not silently reset
         anything else.
         """
         return type(self)(
             samples=self.samples if samples is None else samples,
-            method=self.method,
             seed=self.seed,
             backend=self.backend,
             metrics=self._registry,
             planner=self.planner,
         )
-
-    def probability(
-        self, query: AnyQuery, db: ProbabilisticDatabase
-    ) -> float:
-        lineage = ground_lineage(query, db, planner=self.planner)
-        if lineage.certainly_true:
-            return 1.0
-        if lineage.is_false:
-            return 0.0
-        rng = random.Random(self.seed)
-        self._record_run(self.samples)
-        if self.method == "naive":
-            return naive_estimate(lineage, self.samples, rng, self.backend)
-        estimate = karp_luby_estimate(lineage, self.samples, rng, self.backend)
-        # The unbiased estimator can land slightly outside [0, 1].
-        return clamp01(estimate)
-
-    def _record_run(
-        self, samples: int, half_width: Optional[float] = None
-    ) -> None:
-        """Fold one sampling run into the engine's metric families."""
-        self._metric_samples.labels(self.method).inc(samples)
-        self._metric_batch.observe(samples)
-        self._metric_estimates.inc()
-        if half_width is not None:
-            self._metric_half_width.set(half_width)
-
-    def estimate_with_interval(
-        self, query: AnyQuery, db: ProbabilisticDatabase
-    ) -> Tuple[float, float]:
-        """Karp–Luby estimate and its 95% confidence half-width."""
-        estimate, half_width = estimate_with_error(
-            query, db, self.samples, self.seed, self.backend,
-            planner=self.planner,
-        )
-        self._record_run(self.samples, half_width)
-        return estimate, half_width
 
     # No caller in src/; kept because perfbench/tracing.py patches it.
     def estimate_lineage(self, lineage: Lineage) -> Tuple[float, float]:
@@ -200,7 +163,10 @@ class MonteCarloEngine(Engine):
             lineage, self.samples, self.seed, self.backend
         )
         if not (lineage.certainly_true or lineage.is_false):
-            self._record_run(self.samples, half_width)
+            self._metric_samples.labels(METHOD).inc(self.samples)
+            self._metric_batch.observe(self.samples)
+            self._metric_estimates.inc()
+            self._metric_half_width.set(half_width)
         return estimate, half_width
 
     def answers(
@@ -217,7 +183,9 @@ class MonteCarloEngine(Engine):
         overlaps the boundary between the current top-k and the rest.
         Settled answers keep their estimate; each answer is capped at
         ``self.samples`` draws, so the worst case matches k independent
-        runs while separated instances stop much earlier.
+        runs while separated instances stop much earlier.  A Boolean
+        query samples its one answer ``()`` to the full cap; ``k = 0``
+        draws nothing.
 
         Per-answer intervals and the total sample count are left in
         ``last_intervals`` / ``last_samples_drawn``.
@@ -267,7 +235,7 @@ class MonteCarloEngine(Engine):
                 intervals[answer] = (clamp01(estimate), half_width)
         self.last_intervals = dict(intervals)
         self.last_samples_drawn = drawn
-        self._metric_samples.labels(self.method).inc(drawn)
+        self._metric_samples.labels(METHOD).inc(drawn)
         self._metric_estimates.inc(len(intervals))
         if samplers:
             self._metric_half_width.set(
@@ -291,7 +259,8 @@ class MonteCarloEngine(Engine):
         need full precision).  With ``k``, take the answers with the k
         largest estimates as the provisional winners: a winner is
         settled once its lower bound clears every outsider's upper
-        bound, an outsider once its upper bound is dominated.
+        bound, an outsider once its upper bound is dominated.  With no
+        winners (``k = 0``) nothing is critical.
         """
         if k is None or len(intervals) <= k:
             return [
@@ -302,6 +271,8 @@ class MonteCarloEngine(Engine):
             intervals, key=lambda answer: -intervals[answer][0]
         )
         winners = ranked[:k]
+        if not winners:
+            return []
         outsiders = ranked[k:]
         boundary_low = min(
             intervals[answer][0] - intervals[answer][1] for answer in winners
@@ -372,26 +343,12 @@ def _naive_estimate_numpy(
     return hits / samples
 
 
-def karp_luby_estimate(
-    lineage: Lineage,
-    samples: int,
-    rng: random.Random,
-    backend: str = "auto",
-) -> float:
-    """The Karp–Luby unbiased estimator for weighted DNF probability.
-
-    Let ``m_i = P(clause_i)`` and ``M = Σ m_i``.  Sample a clause with
-    probability ``m_i / M``, then a world conditioned on that clause
-    being satisfied; the indicator "the sampled clause is the
-    first satisfied clause of the world" has expectation ``p / M``.
-    """
-    sampler = KarpLubySampler(lineage, rng, backend)
-    sampler.extend(samples)
-    return sampler.estimate()
-
-
 class KarpLubySampler:
     """An incremental Karp–Luby estimator over one lineage.
+
+    With ``m_i = P(clause_i)`` and ``M = Σ m_i``, a trial samples clause
+    ``i`` with probability ``m_i / M`` and a world satisfying it; "``i``
+    is the world's first satisfied clause" has expectation ``p / M``.
 
     Keeps the clause distribution and counters between calls, so the
     multisimulation can add samples to one answer without restarting;
@@ -519,31 +476,18 @@ class KarpLubySampler:
         return self.estimate(), half_width
 
 
-def estimate_with_error(
-    query: AnyQuery,
-    db: ProbabilisticDatabase,
-    samples: int,
-    seed: Optional[int] = None,
-    backend: str = "auto",
-    planner: Optional[GroundingPlanner] = None,
-) -> Tuple[float, float]:
-    """Karp–Luby estimate plus a 95% half-width from the binomial CLT.
-
-    The estimate is clamped into [0, 1]; the half-width is the honest
-    (unclamped) sampler width.
-    """
-    return estimate_lineage(
-        ground_lineage(query, db, planner=planner), samples, seed, backend
-    )
-
-
 def estimate_lineage(
     lineage: Lineage,
     samples: int,
     seed: Optional[int] = None,
     backend: str = "auto",
 ) -> Tuple[float, float]:
-    """:func:`estimate_with_error` for an already-grounded lineage."""
+    """Karp–Luby estimate of an already-grounded lineage, plus a 95%
+    half-width from the binomial CLT.
+
+    The estimate is clamped into [0, 1]; the half-width is the honest
+    (unclamped) sampler width.
+    """
     if lineage.certainly_true:
         return 1.0, 0.0
     if lineage.is_false:

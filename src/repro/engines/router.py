@@ -8,12 +8,14 @@ extends it with a knowledge-compilation tier: unsafe queries whose
 lineage compiles to a small circuit get *exact* answers before any
 sampling happens.
 
-Answer-tuple queries go through :meth:`RouterEngine.answers`: safety is
-decided on the *residual* query (head variables read as constants), a
-safe residual is answered in bulk by the group-by safe plan or the
-lifted engine, and #P-hard residuals fall through per answer — circuit
-compilation first, then multisimulation Monte Carlo (or the exact
-oracle) for whatever did not compile.  Every answer gets its own
+Every read walks one ladder.  Safety is decided on the *residual*
+query (head variables read as constants), a safe residual is answered
+in bulk by the group-by safe plan or the lifted engine, and #P-hard
+residuals fall through per answer — circuit compilation first, then
+multisimulation Monte Carlo (or the exact oracle) for whatever did not
+compile.  ``p(q)`` is the one answer ``()`` of the query with the empty
+head, so :meth:`RouterEngine.probability` reads it off the same ladder
+as :meth:`RouterEngine.answers`.  Every answer gets its own
 :class:`RoutingDecision`.
 """
 
@@ -21,23 +23,26 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..compile.cache import CircuitCache
 from ..core.union import AnyQuery, UnionQuery
 from ..db.database import GroundTuple, ProbabilisticDatabase
-from ..lineage.boolean import Lineage
 from ..lineage.grounding import check_arities, ground_answer_lineages
 from ..lineage.planner import GroundingPlanner
 from ..lineage.wmc import exact_probability
 from ..obs.metrics import MetricsRegistry
-from .base import Answer, Engine, UnsafeQueryError, UnsupportedQueryError, clamp01, rank_answers
+from .base import Answer, Engine, UnsafeQueryError, UnsupportedQueryError, rank_answers
 from .compiled import CompiledEngine
 from .lifted import LiftedEngine
 from .lineage_engine import LineageEngine
 from .montecarlo import MonteCarloEngine
 from .safe_plan import SafePlanEngine, generic_residual, unsupported_reason
+
+#: One routing outcome: (answer, p, engine, seconds, safe,
+#: fallback reason, Monte Carlo half-width or None).
+Row = Tuple[Optional[GroundTuple], float, str, float, bool, str, Optional[float]]
 
 #: Cap on cached safety verdicts — like ``history_limit``, an
 #: unbounded per-query cache is a slow leak under sustained serving
@@ -104,8 +109,8 @@ class RouterEngine(Engine):
     (the exact-PTIME union tier is the lifted engine; the lower tiers
     ride on the shared DNF lineage).  One admission rule —
     :meth:`_admit_exact` — decides the exact PTIME tier for
-    :meth:`plan_query`, :meth:`probability` and :meth:`answers` alike,
-    so the three paths cannot drift apart.
+    :meth:`plan_query` and for the one ladder that :meth:`probability`
+    and :meth:`answers` share, so the two cannot drift apart.
 
     Set ``compile_budget=None`` to disable tier 3 (the pre-compilation
     MystiQ architecture, kept for the paper-artifact benchmarks); a
@@ -249,10 +254,9 @@ class RouterEngine(Engine):
     ) -> Tuple[Optional[Engine], str, str]:
         """The one tier-admission rule for the exact PTIME ladder.
 
-        Shared by :meth:`plan_query`, :meth:`_route` and
-        :meth:`_route_answers` (formerly three near-identical blocks
-        that could — and did — drift in wording), so every path answers
-        "which exact tier, and if none, precisely why" identically.
+        Shared by :meth:`plan_query` and the one ladder
+        (:meth:`_route_answers`), so both answer "which exact tier, and
+        if none, precisely why" identically.
 
         * a union of CQs goes to the lifted tier when safe, else falls
           through (label ``unsafe_union``);
@@ -301,10 +305,9 @@ class RouterEngine(Engine):
         database (circuit budget).  This is the router's *prepare*
         hook: the serving layer calls it when a query enters the
         prepared-query cache, so per-request routing skips the
-        classification entirely.  Mirrors :meth:`probability` /
-        :meth:`answers` tier order exactly (safety of an answer-tuple
-        query is safety of its generic residual) because all three go
-        through :meth:`_admit_exact`.
+        classification entirely.  Mirrors the ladder's tier order
+        exactly (safety of an answer-tuple query is safety of its
+        generic residual): both go through :meth:`_admit_exact`.
         """
         engine, _reason, _label = self._admit_exact(generic_residual(query))
         return engine.name if engine is not None else "unsafe"
@@ -312,24 +315,22 @@ class RouterEngine(Engine):
     def probability(
         self, query: AnyQuery, db: ProbabilisticDatabase
     ) -> float:
-        check_arities(query, db)
+        """``p(q)``: the one answer ``()`` of the query with the empty
+        head, read off the one ladder (0 when the ranking is empty).
+
+        Records exactly one :class:`RoutingDecision` per call, with
+        ``answer=None``.  A zero names the tier the ladder reached: the
+        admitted PTIME tier, else compiled when enabled, else the
+        fallback (a Monte Carlo zero with ``interval == 0.0``).
+        """
+        boolean = query.boolean()
+        check_arities(boolean, db)
         start = time.perf_counter()
-        engine, value, safe, reason, interval = self._route(query, db)
-        elapsed = time.perf_counter() - start
-        self._metric_decisions.labels(engine).inc()
-        self._metric_tier_seconds.labels(engine).observe(elapsed)
-        self.history.append(
-            RoutingDecision(
-                query=str(query),
-                engine=engine,
-                probability=value,
-                seconds=elapsed,
-                safe=safe,
-                fallback_reason=reason,
-                interval=interval,
-                grounding_plan=self._plan_note(engine, query),
-            )
-        )
+        rows, empty = self._route_answers(boolean, db, None)
+        # The empty head has at most one answer, ``()``; ``rest`` is
+        # (safe, reason, interval).
+        _answer, value, engine, _seconds, *rest = rows[0] if rows else empty
+        self._record(query, None, value, engine, time.perf_counter() - start, *rest)
         return value
 
     def answers(
@@ -342,39 +343,32 @@ class RouterEngine(Engine):
 
         Appends one :class:`RoutingDecision` per returned answer (the
         recorded seconds are the per-tier cost amortized over the
-        tier's answers).
+        tier's answers).  A Boolean query ranks its one answer ``()``.
         """
-        if query.head is None:
-            value = self.probability(query, db)
-            self.history[-1].answer = ()
-            return rank_answers([((), value)], k)
         check_arities(query, db)
-        rows = self._route_answers(query, db, k)
+        rows, _empty = self._route_answers(query, db, k)
         ranked = rank_answers([(answer, p) for answer, p, *_ in rows], k)
         kept = {answer for answer, _ in ranked}
-        for answer, p, engine, seconds, safe, reason, interval in rows:
-            if answer not in kept:
-                continue
-            self._metric_decisions.labels(engine).inc()
-            self._metric_tier_seconds.labels(engine).observe(seconds)
-            self.history.append(
-                RoutingDecision(
-                    query=str(query),
-                    engine=engine,
-                    probability=p,
-                    seconds=seconds,
-                    safe=safe,
-                    fallback_reason=reason,
-                    answer=answer,
-                    interval=interval,
-                    grounding_plan=self._plan_note(engine, query),
-                )
-            )
+        for row in rows:
+            if row[0] in kept:
+                self._record(query, *row)
         return ranked
 
     # ------------------------------------------------------------------
     # Routing internals
     # ------------------------------------------------------------------
+
+    def _record(self, query: AnyQuery, *row) -> None:
+        """Count one decision (a :data:`Row`) and keep it in history."""
+        answer, value, engine, seconds, safe, reason, interval = row
+        self._metric_decisions.labels(engine).inc()
+        self._metric_tier_seconds.labels(engine).observe(seconds)
+        self.history.append(RoutingDecision(
+            query=str(query), engine=engine, probability=value,
+            seconds=seconds, safe=safe, fallback_reason=reason,
+            answer=answer, interval=interval,
+            grounding_plan=self._plan_note(engine, query),
+        ))
 
     def _plan_note(self, engine_name: str, query: AnyQuery) -> Optional[str]:
         """The grounding plan behind a decision, when one exists.
@@ -391,53 +385,12 @@ class RouterEngine(Engine):
             return self.grounding_planner.describe_cached(query)
         return None
 
-    def _route(
-        self, query: AnyQuery, db: ProbabilisticDatabase
-    ) -> Tuple[str, float, bool, str, Optional[float]]:
-        reasons = []
-        engine, reason, label = self._admit_exact(query.boolean())
-        if engine is not None:
-            try:
-                return (
-                    engine.name, engine.probability(query, db), True, "", None,
-                )
-            except (UnsafeQueryError, UnsupportedQueryError):
-                # pragma: no cover - admission said yes
-                reasons.append(f"{engine.name} tier failed after admission")
-                self._metric_fallbacks.labels("lifted_failed").inc()
-        else:
-            reasons.append(reason)
-            self._metric_fallbacks.labels(label).inc()
-        if self.compiled is not None:
-            try:
-                value = self.compiled.probability(query, db)
-                return self.compiled.name, value, False, "; ".join(reasons), None
-            except UnsupportedQueryError as error:
-                reasons.append(str(error))
-                self._metric_fallbacks.labels("compile_failed").inc()
-        if self.exact_fallback:
-            return (
-                self.lineage.name,
-                self.lineage.probability(query, db),
-                False,
-                "; ".join(reasons),
-                None,
-            )
-        estimate, half_width = self.monte_carlo.estimate_with_interval(query, db)
-        return (
-            self.monte_carlo.name,
-            clamp01(estimate),
-            False,
-            "; ".join(reasons),
-            half_width,
-        )
-
     def _route_answers(
         self, query: AnyQuery, db: ProbabilisticDatabase,
         k: Optional[int],
-    ) -> List[Tuple]:
-        """(answer, p, engine, seconds, safe, reason, interval) rows."""
-        reasons: List[str] = []
+    ) -> Tuple[List[Row], Row]:
+        """The one routing ladder: a row per evaluated answer, and the
+        row an empty ranking records (the tier reached, at ``p = 0``)."""
         engine, reason, label = self._admit_exact(generic_residual(query))
         if engine is not None:
             try:
@@ -446,73 +399,53 @@ class RouterEngine(Engine):
                     results = self.lifted.answers(query, db, assume_safe=True)
                 else:
                     results = engine.answers(query, db)
-                return _tier_rows(
-                    results, engine.name,
-                    time.perf_counter() - start, True, "",
-                )
+                elapsed = time.perf_counter() - start
+                return (_tier_rows(results, engine.name, elapsed, True, ""),
+                        (None, 0.0, engine.name, 0.0, True, "", None))
             except (UnsafeQueryError, UnsupportedQueryError):
                 # pragma: no cover - admission said yes
-                reasons.append(f"{engine.name} tier failed after admission")
-                self._metric_fallbacks.labels("lifted_failed").inc()
-        else:
-            reasons.append(reason)
-            self._metric_fallbacks.labels(label).inc()
-        reason = "; ".join(reasons)
+                reason = f"{engine.name} tier failed after admission"
+                label = "lifted_failed"
+        self._metric_fallbacks.labels(label).inc()
         lineages = ground_answer_lineages(
             query, db, planner=self.grounding_planner
         )
-        rows: List[Tuple] = []
-        leftovers: Dict[GroundTuple, Lineage] = {}
+        rows: List[Row] = []
+        failed: Dict[GroundTuple, str] = {}
         if self.compiled is not None:
-            compile_reasons: Dict[GroundTuple, str] = {}
-            for answer, lineage in lineages.items():
-                start = time.perf_counter()
-                try:
-                    value = self.compiled.answer_probability(lineage)
-                except UnsupportedQueryError as error:
-                    leftovers[answer] = lineage
-                    compile_reasons[answer] = str(error)
-                    self._metric_fallbacks.labels("compile_failed").inc()
-                    continue
-                rows.append((
-                    answer, value, self.compiled.name,
-                    time.perf_counter() - start, False, reason, None,
-                ))
-        else:
-            leftovers = dict(lineages)
-            compile_reasons = {}
-        if not leftovers:
-            return rows
+            start = time.perf_counter()
+            values, failed = self.compiled.answers_from_lineages(lineages)
+            elapsed = time.perf_counter() - start
+            rows = _tier_rows(values, self.compiled.name, elapsed, False, reason)
+            if not failed:
+                return rows, (None, 0.0, self.compiled.name, 0.0, False, reason, None)
+            self._metric_fallbacks.labels("compile_failed").inc(len(failed))
+            lineages = {answer: lineages[answer] for answer in failed}
         start = time.perf_counter()
         if self.exact_fallback:
-            fallback = [
-                (answer, exact_probability(lineage), self.lineage.name, None)
-                for answer, lineage in leftovers.items()
+            fallback, zero_interval = self.lineage.name, None
+            estimates = [
+                (answer, exact_probability(lineage), None)
+                for answer, lineage in lineages.items()
             ]
         else:
-            estimates = self.monte_carlo.answers_from_lineages(leftovers, k)
-            fallback = [
-                (
-                    answer, value, self.monte_carlo.name,
-                    self.monte_carlo.last_intervals[answer][1],
-                )
-                for answer, value in estimates
-            ]
-        elapsed = (time.perf_counter() - start) / max(1, len(fallback))
-        for answer, value, engine, interval in fallback:
-            answer_reason = reason
-            extra = compile_reasons.get(answer)
-            if extra:
-                answer_reason = f"{reason}; {extra}" if reason else extra
+            fallback, zero_interval = self.monte_carlo.name, 0.0
+            self.monte_carlo.answers_from_lineages(lineages, k)
+            intervals = self.monte_carlo.last_intervals
+            estimates = [(answer, *intervals[answer]) for answer in intervals]
+        elapsed = (time.perf_counter() - start) / max(1, len(estimates))
+        for answer, value, interval in estimates:
+            failure = failed.get(answer)
             rows.append((
-                answer, value, engine, elapsed, False, answer_reason, interval,
+                answer, value, fallback, elapsed, False,
+                f"{reason}; {failure}" if failure else reason, interval,
             ))
-        return rows
+        return rows, (None, 0.0, fallback, 0.0, False, reason, zero_interval)
 
 
 def _tier_rows(
     results: List[Answer], engine: str, elapsed: float, safe: bool, reason: str
-) -> List[Tuple]:
+) -> List[Row]:
     per_answer = elapsed / max(1, len(results))
     return [
         (answer, value, engine, per_answer, safe, reason, None)

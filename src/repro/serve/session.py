@@ -62,7 +62,7 @@ from ..db.database import (
     TupleKey,
 )
 from ..db.relation import Probability, Value
-from ..engines.base import Answer, UnsupportedQueryError, clamp01, rank_answers
+from ..engines.base import Answer, UnsupportedQueryError, check_top_k, clamp01, rank_answers
 from ..engines.compiled import Artifact, canonicalize_lineage
 from ..engines.router import RouterEngine
 from ..lineage.boolean import Lineage
@@ -452,7 +452,7 @@ class QuerySession:
         worker op) to degrade gracefully under load: fewer samples per
         unsafe query means wider intervals, not errors.  Uses
         :meth:`~repro.engines.montecarlo.MonteCarloEngine.reconfigured`
-        so the method, seed, backend and metrics registry all survive
+        so the seed, backend, planner and metrics registry all survive
         the swap.  Cached results are untouched — only fresh Monte
         Carlo work runs at the new budget.
         """
@@ -502,7 +502,9 @@ class QuerySession:
         batched sweep.  The *full* ranking is cached; ``k`` truncates
         per call, so changing ``k`` against an unchanged database is a
         pure cache hit.  A Boolean query ranks its one answer ``()``.
+        A negative ``k`` raises ValueError before any work.
         """
+        check_top_k(k)
         # Always a fresh list: the full ranking also lives in the result
         # cache, and callers are free to mutate theirs.
         return [

@@ -12,7 +12,7 @@ from repro.core import parse
 from repro.core.parser import QueryParseError
 from repro.core.query import ConjunctiveQuery, query
 from repro.core.terms import Constant, Variable
-from repro.db import random_database_for_query
+from repro.db import ProbabilisticDatabase, random_database_for_query
 from repro.engines import (
     BruteForceEngine,
     CompiledEngine,
@@ -353,6 +353,11 @@ def test_router_records_interval_on_mc_fallback():
     assert decision.engine == "monte-carlo"
     assert decision.interval is not None and decision.interval > 0.0
     assert "±" in decision.describe()
+    # A zero reached by the fallback records a zero-width interval.
+    empty = ProbabilisticDatabase.from_dict({"R": {(1,): 0.5}, "T": {(2,): 0.5}})
+    assert router.probability(q, empty) == 0.0
+    assert router.history[-1].engine == "monte-carlo"
+    assert router.history[-1].interval == 0.0
 
 
 def test_router_top_k_truncates():

@@ -8,8 +8,9 @@ from repro.engines import (
     LineageEngine,
     MonteCarloEngine,
     RouterEngine,
-    estimate_with_error,
+    estimate_lineage,
 )
+from repro.lineage.grounding import ground_lineage
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import QuerySession
 
@@ -30,12 +31,6 @@ class TestMonteCarlo:
         mc = MonteCarloEngine(samples=30_000, seed=7)
         assert mc.probability(q, triangle_db) == pytest.approx(exact, abs=0.02)
 
-    def test_naive_converges(self, triangle_db):
-        q = parse("R(x,y), R(y,z)")
-        exact = lineage.probability(q, triangle_db)
-        mc = MonteCarloEngine(samples=30_000, method="naive", seed=7)
-        assert mc.probability(q, triangle_db) == pytest.approx(exact, abs=0.02)
-
     def test_trivial_cases(self):
         db = ProbabilisticDatabase.from_dict({"R": {(1,): 1}})
         mc = MonteCarloEngine(samples=10, seed=0)
@@ -45,14 +40,10 @@ class TestMonteCarlo:
     def test_error_bound_contains_truth(self, triangle_db):
         q = parse("R(x,y), R(y,z)")
         exact = lineage.probability(q, triangle_db)
-        estimate, half_width = estimate_with_error(
-            q, triangle_db, samples=20_000, seed=3
+        estimate, half_width = estimate_lineage(
+            ground_lineage(q, triangle_db), samples=20_000, seed=3
         )
         assert abs(estimate - exact) < max(3 * half_width, 0.03)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            MonteCarloEngine(method="quantum")
 
     def test_karp_luby_small_probability(self):
         # Tiny-probability query: naive would need huge samples;
@@ -69,12 +60,11 @@ class TestMonteCarlo:
     def test_reconfigured_preserves_everything(self):
         registry = MetricsRegistry()
         engine = MonteCarloEngine(
-            samples=1_000, method="naive", seed=9, backend="python",
+            samples=1_000, seed=9, backend="python",
             metrics=registry,
         )
         clone = engine.reconfigured(samples=50)
         assert clone.samples == 50
-        assert clone.method == "naive"
         assert clone.seed == 9
         assert clone.backend == "python"
         assert clone._registry is registry

@@ -13,12 +13,9 @@ vectorized/scalar speedup ratios.
 
 The headline assertion: on a 500-clause lineage, vectorized Karp–Luby
 is **≥10× samples/sec** over the scalar backend (naive sampling gains
-even more, typically 30×+).  A second grid pins the kernel work of the
-numpy backend itself — preallocated :class:`~repro.lineage.packed.SampleArena`
-buffers vs fresh allocations, float32 vs float64 uniform draws — and
-the full run asserts the shipping configuration is **≥1.3×** the
-karp-luby/numpy rate recorded before the kernel work landed
-(``PREVIOUS_KARP_LUBY_RATE``).
+even more, typically 30×+).  The full run also asserts the numpy
+backend is **≥1.3×** the karp-luby/numpy rate recorded before its
+kernel was first reworked (``PREVIOUS_KARP_LUBY_RATE``).
 
 Runs standalone for the CI smoke: ``python benchmarks/bench_sampling.py
 --smoke`` (tiny sample counts, correctness cross-check only, no timing
@@ -36,16 +33,12 @@ import pytest
 
 from repro.engines.montecarlo import (
     KarpLubySampler,
-    _batches,
     naive_estimate,
     resolve_backend,
 )
 from repro.lineage.boolean import make_lineage
 from repro.lineage.packed import HAVE_NUMPY
 from repro.lineage.wmc import exact_probability
-
-if HAVE_NUMPY:
-    import numpy as np
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_sampling.json"
 
@@ -59,7 +52,7 @@ HEADLINE = dict(n_events=250, n_clauses=500, clause_len=3,
 CHECK = dict(n_events=30, n_clauses=40, clause_len=3,
              low=0.05, high=0.4, seed=7)
 #: The karp-luby/numpy samples/s this benchmark recorded before the
-#: arena/float32 kernel work landed — the ≥1.3× bar's denominator.
+#: numpy kernel was first reworked — the ≥1.3× bar's denominator.
 PREVIOUS_KARP_LUBY_RATE = 332_324
 
 
@@ -136,60 +129,6 @@ def measure(lineage, samples_by_backend, repeats=3):
     return rows, speedups
 
 
-def _run_kernel_variant(lineage, samples, arena_on, dtype, attempt):
-    """One Karp–Luby pass with the world-matrix kernel pinned.
-
-    Replays exactly what ``KarpLubySampler._extend_numpy`` does, but
-    with the arena and uniform dtype chosen by the caller instead of
-    the shipping defaults — the off-diagonal cells of the variant grid.
-    """
-    sampler = KarpLubySampler(lineage, random.Random(1 + attempt), "numpy")
-    packed = sampler.packed
-    arena = sampler.arena if arena_on else None
-    for batch in _batches(samples, packed.batch_cost):
-        chosen = packed.sample_clauses(sampler._np_rng, batch)
-        worlds = packed.sample_worlds(
-            sampler._np_rng, batch, arena, dtype=dtype
-        )
-        packed.force_clauses(worlds, chosen)
-        sampler.hits += packed.coverage_hits(worlds, chosen, arena)
-    return sampler
-
-
-def measure_kernel_variants(lineage, samples, repeats=3):
-    """The 2×2 (worlds buffer × uniform dtype) grid pinning the kernel.
-
-    ``(arena, float32)`` is what the numpy backend now ships;
-    ``(fresh, float64)`` is the previous release's behaviour — their
-    ratio is the ``kernel_speedup`` the acceptance bar reads.  The
-    off-diagonal rows attribute the win between buffer reuse and draw
-    bandwidth.
-    """
-    rows = []
-    rates = {}
-    for arena_on in (True, False):
-        for dtype_name in ("float32", "float64"):
-            dtype = np.float32 if dtype_name == "float32" else np.float64
-
-            def run(attempt, arena_on=arena_on, dtype=dtype):
-                _run_kernel_variant(lineage, samples, arena_on, dtype, attempt)
-
-            rate, seconds = _best_rate(run, samples, repeats)
-            worlds = "arena" if arena_on else "fresh"
-            rates[(worlds, dtype_name)] = rate
-            rows.append({
-                "worlds": worlds,
-                "dtype": dtype_name,
-                "samples": samples,
-                "seconds": round(seconds, 6),
-                "samples_per_sec": round(rate),
-            })
-    speedup = round(
-        rates[("arena", "float32")] / rates[("fresh", "float64")], 2
-    )
-    return rows, speedup
-
-
 def agreement_rows(samples=30_000):
     """Both backends vs the exact oracle on the small check lineage."""
     lineage = synthetic_lineage(**CHECK)
@@ -245,29 +184,6 @@ def test_vectorized_karp_luby_at_least_10x(report):
 
 
 @pytest.mark.bench_table("S1")
-def test_arena_float32_kernel_grid(report):
-    if not HAVE_NUMPY:
-        pytest.skip("numpy unavailable")
-    lineage = synthetic_lineage(**HEADLINE)
-    rows, speedup = measure_kernel_variants(lineage, 100_000, repeats=2)
-    for row in rows:
-        report.append(
-            f"S1  kernel {row['worlds']:5s} {row['dtype']:7s} "
-            f"{row['samples_per_sec']:>12,d} samples/s"
-        )
-    report.append(f"S1  kernel speedup (arena/f32 vs fresh/f64): {speedup}x")
-    # The shipping configuration must not be the grid's straggler;
-    # the hard ≥1.3× bar vs the pre-arena recording runs in the
-    # standalone benchmark (timings here are too short to be stable).
-    fastest = max(row["samples_per_sec"] for row in rows)
-    shipping = next(
-        row["samples_per_sec"] for row in rows
-        if row["worlds"] == "arena" and row["dtype"] == "float32"
-    )
-    assert shipping >= 0.75 * fastest
-
-
-@pytest.mark.bench_table("S1")
 def test_backends_agree_with_exact(report):
     for row in agreement_rows():
         report.append(
@@ -309,17 +225,6 @@ def main(argv=None):
         )
     for estimator, ratio in speedups.items():
         print(f"{estimator}: vectorized {ratio}x scalar")
-    kernel_rows, kernel_speedup = [], None
-    if HAVE_NUMPY:
-        kernel_rows, kernel_speedup = measure_kernel_variants(
-            lineage, samples["numpy"], repeats
-        )
-        for row in kernel_rows:
-            print(
-                f"kernel    {row['worlds']:5s}/{row['dtype']:7s} "
-                f"{row['samples_per_sec']:>12,d} samples/s"
-            )
-        print(f"kernel: arena/float32 {kernel_speedup}x fresh/float64")
     agreement = agreement_rows(samples=5_000 if args.smoke else 30_000)
     for row in agreement:
         print(
@@ -339,8 +244,6 @@ def main(argv=None):
         },
         "rows": rows,
         "speedup": speedups,
-        "kernel_rows": kernel_rows,
-        "kernel_speedup": kernel_speedup,
         "agreement": agreement,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -357,7 +260,7 @@ def main(argv=None):
         if headline_rate < 1.3 * PREVIOUS_KARP_LUBY_RATE:
             print(
                 f"FAIL: karp-luby {headline_rate:,d} samples/s < 1.3x the "
-                f"pre-arena recording ({PREVIOUS_KARP_LUBY_RATE:,d})",
+                f"earlier recording ({PREVIOUS_KARP_LUBY_RATE:,d})",
                 file=sys.stderr,
             )
             return 1

@@ -76,6 +76,16 @@ from .engines import RouterEngine
 from .lineage.planner import GroundingError
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -98,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--constants", default="")
     p_eval.add_argument(
-        "--samples", type=int, default=20000,
+        "--samples", type=_positive_int, default=20000,
         help="Monte Carlo samples for unsafe queries",
     )
     p_eval.add_argument(
@@ -122,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "Monte Carlo work for the rest)",
     )
     p_answers.add_argument(
-        "--samples", type=int, default=20000,
+        "--samples", type=_positive_int, default=20000,
         help="Monte Carlo sample cap per answer for unsafe residuals",
     )
     p_answers.add_argument(
@@ -188,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--constants", default="")
     p_serve.add_argument(
-        "--samples", type=int, default=20000,
+        "--samples", type=_positive_int, default=20000,
         help="Monte Carlo sample cap for unsafe residuals",
     )
     p_serve.add_argument(

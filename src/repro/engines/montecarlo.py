@@ -17,12 +17,11 @@ The estimators come in two backends:
 
 * ``"numpy"`` — the vectorized core: worlds are columns of an
   ``(n_events, batch)`` bit matrix over the
-  :class:`~repro.lineage.packed.PackedLineage` structure, and every
-  clause of every sample is evaluated in one padded gather + fold
-  (see ``benchmarks/bench_sampling.py`` for the measured speedup).
-  The hot loop reuses a preallocated
-  :class:`~repro.lineage.packed.SampleArena`, so repeated
-  ``extend()`` calls allocate nothing per batch;
+  :class:`~repro.lineage.packed.PackedLineage` structure, drawn by
+  comparing raw generator words against integer thresholds, and every
+  clause of every sample is evaluated on bit-packed worlds in one
+  padded gather + fold (see ``benchmarks/bench_sampling.py`` for the
+  measured speedup);
 * ``"python"`` — the original scalar loops, kept as the correctness
   oracle and as the fallback when numpy is unavailable.
 
@@ -53,7 +52,7 @@ from ..core.union import AnyQuery
 from ..db.database import GroundTuple, ProbabilisticDatabase, TupleKey
 from ..lineage.boolean import Clause, Lineage
 from ..lineage.grounding import ground_answer_lineages
-from ..lineage.packed import PackedLineage, SampleArena, clause_sort_key
+from ..lineage.packed import PackedLineage, clause_sort_key
 from ..lineage.planner import GroundingPlanner
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
 from .base import Answer, Engine, clamp01, rank_answers
@@ -82,6 +81,12 @@ def resolve_backend(backend: str) -> str:
     return backend
 
 
+def _require_samples(samples: int) -> None:
+    """Reject a budget that draws nothing: its estimate is no estimate."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
 def _batches(samples: int, per_sample_cost: int) -> Iterator[int]:
     cap = max(1, _BATCH_ELEMENTS // max(1, per_sample_cost))
     while samples > 0:
@@ -104,6 +109,7 @@ class MonteCarloEngine(Engine):
         metrics: Optional[MetricsRegistry] = None,
         planner: Optional[GroundingPlanner] = None,
     ) -> None:
+        _require_samples(samples)
         self.samples = samples
         self.seed = seed
         self.backend = resolve_backend(backend)
@@ -299,6 +305,7 @@ def naive_estimate(
     backend: str = "auto",
 ) -> float:
     """Fraction of sampled worlds satisfying the DNF."""
+    _require_samples(samples)
     if resolve_backend(backend) == "numpy":
         return _naive_estimate_numpy(lineage, samples, rng)
     return _naive_estimate_python(lineage, samples, rng)
@@ -328,18 +335,19 @@ def _naive_estimate_python(
 def _naive_estimate_numpy(
     lineage: Lineage, samples: int, rng: random.Random
 ) -> float:
-    """All worlds of a batch at once: uniform matrix, CSR clause fold."""
+    """All worlds of a batch at once: the OR of every clause's packed
+    satisfied bits marks the worlds where the DNF holds."""
     packed = PackedLineage.of(lineage)
     if packed.n_clauses == 0:
         return 0.0
     nprng = np.random.default_rng(rng.randrange(2**63))
-    arena = SampleArena()
     hits = 0
     for batch in _batches(samples, packed.batch_cost):
-        worlds = packed.sample_worlds(nprng, batch, arena)
-        hits += int(
-            packed.clause_satisfaction(worlds, arena).any(axis=0).sum()
+        worlds = packed.sample_worlds(nprng, batch)
+        some_clause = np.bitwise_or.reduce(
+            packed.satisfied_bits(worlds), axis=0
         )
+        hits += int(np.unpackbits(some_clause, count=batch).sum())
     return hits / samples
 
 
@@ -356,13 +364,12 @@ class KarpLubySampler:
     from the binomial CLT (the indicator variable is Bernoulli with
     mean ``p / M``).
 
-    With the numpy backend, :meth:`extend` is fully batched: one
-    weighted ``choice`` over the packed clause distribution picks all
-    trial clauses, one uniform matrix draws all worlds, and coverage
-    for the whole batch is one matrix pass (forced clause literals +
-    padded-gather fold).  Batch buffers live in a per-sampler
-    :class:`~repro.lineage.packed.SampleArena`, so the ``extend`` loop
-    reuses one allocation across batches.
+    With the numpy backend, :meth:`extend` is fully batched: one CDF
+    ``searchsorted`` over the packed clause distribution picks all
+    trial clauses, one block of raw generator words draws all worlds,
+    one vectorized write forces each chosen clause true, and coverage
+    for the whole batch is one pass over bit-packed worlds (padded
+    literal fold, then a prefix OR down the clauses).
     """
 
     __slots__ = (
@@ -375,7 +382,6 @@ class KarpLubySampler:
         "clauses",
         "cumulative",
         "packed",
-        "arena",
         "_np_rng",
     )
 
@@ -392,7 +398,6 @@ class KarpLubySampler:
         if self.backend == "numpy":
             self.packed = PackedLineage.of(lineage)
             self.total = self.packed.total
-            self.arena = SampleArena()
             # Derived from the scalar rng so one seed fixes the run.
             self._np_rng = np.random.default_rng(rng.randrange(2**63))
             return
@@ -434,24 +439,21 @@ class KarpLubySampler:
 
     def _extend_numpy(self, samples: int) -> None:
         packed = self.packed
-        arena = self.arena
         for batch in _batches(samples, packed.batch_cost):
-            chosen, worlds = self._draw_batch(batch, arena)
-            self.hits += packed.coverage_hits(worlds, chosen, arena)
+            chosen, worlds = self._draw_batch(batch)
+            self.hits += packed.coverage_hits(worlds, chosen)
 
-    def _draw_batch(self, batch: int, arena: Optional[SampleArena] = None):
+    def _draw_batch(self, batch: int):
         """One batch of (chosen clause ids, forced world matrix).
 
         Sampling every event up front and then overwriting the chosen
         clause's literals is distributionally identical to the scalar
         backend's lazy per-event draws: either way, events outside the
-        chosen clause are independent Bernoulli draws.  With an
-        ``arena`` the matrices land in its reusable buffers — same
-        values, zero per-batch allocation.
+        chosen clause are independent Bernoulli draws.
         """
         packed = self.packed
         chosen = packed.sample_clauses(self._np_rng, batch)
-        worlds = packed.sample_worlds(self._np_rng, batch, arena)
+        worlds = packed.sample_worlds(self._np_rng, batch)
         packed.force_clauses(worlds, chosen)
         return chosen, worlds
 
@@ -488,6 +490,7 @@ def estimate_lineage(
     The estimate is clamped into [0, 1]; the half-width is the honest
     (unclamped) sampler width.
     """
+    _require_samples(samples)
     if lineage.certainly_true:
         return 1.0, 0.0
     if lineage.is_false:

@@ -137,8 +137,8 @@ class RouterEngine(Engine):
       readable as :attr:`metrics`.
 
     Raises:
-        ValueError: negative ``compile_budget`` or non-positive
-            ``history_limit``.
+        ValueError: negative ``compile_budget``, non-positive
+            ``history_limit`` or ``mc_samples`` below 1.
 
     Example — route one safe and one #P-hard query::
 

@@ -6,7 +6,8 @@ for throughput.  :class:`PackedLineage` interns the tuple events of a
 :class:`~repro.lineage.boolean.Lineage` to dense ``int32`` ids *once*
 and materializes
 
-* a weights vector aligned with the event ids,
+* a weights vector aligned with the event ids, and the ``uint32``
+  draw threshold of each event,
 * the clauses as a CSR structure (literal event ids + polarities with
   per-clause start offsets),
 * per-clause log-weight products (and their linear-space counterparts),
@@ -16,24 +17,17 @@ and materializes
   clause by repeating its own first literal (repetition cannot change
   a conjunction) — so clause evaluation needs no segmented reduction.
 
-On top of it, whole sample batches become single numpy expressions: an
-``(n_events, batch)`` world bit-matrix is one uniform draw + compare,
-and the truth of *all* clauses of *all* samples is one contiguous row
-gather + a fixed-width ``any`` reduction.  The event-major layout is
-deliberate: gathering literal rows from a C-contiguous ``(E, B)``
-matrix vectorizes across the batch, where the batch-major equivalent
-(or ``ufunc.reduceat`` over ragged segments) is an order of magnitude
-slower.
-
-A :class:`SampleArena` holds the per-batch world and scratch matrices
-so repeated :meth:`~PackedLineage.sample_worlds` /
-:meth:`~PackedLineage.clause_satisfaction` calls (the Karp–Luby
-``extend`` loop) reuse one allocation instead of mallocing
-multi-megabyte intermediates per batch.  The arena variant also folds
-clause satisfaction column-by-column (one ``(n_clauses, batch)``
-gather per literal position) instead of materializing the full
-``(n_literals, batch)`` gather, keeping the working set
-cache-resident.  Both variants are bit-for-bit identical.
+On top of it, whole sample batches become single numpy expressions.
+An ``(n_events, batch)`` world matrix is one block of raw 64-bit
+generator words, read as 32-bit halves and compared against one
+integer threshold per event.  Clause truth is computed on bit-packed
+worlds (``np.packbits``, eight samples per byte): one row gather of the
+padded literals, an XOR against their polarities and an OR fold give
+every clause's violated bits for the whole batch.  The event-major
+layout is deliberate: gathering literal rows from a C-contiguous
+``(E, batch / 8)`` matrix vectorizes across the batch, where the
+batch-major equivalent (or ``ufunc.reduceat`` over ragged segments) is
+an order of magnitude slower.
 
 The packed form is built lazily and cached on the lineage, so repeated
 estimator calls (the multisimulation top-k loop) pay the interning
@@ -44,7 +38,7 @@ scalar backend.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 try:  # pragma: no cover - exercised by whichever env runs the suite
     import numpy as np
@@ -65,42 +59,6 @@ def clause_sort_key(clause: Clause) -> Tuple:
     identically for their trials to be comparable draw-for-draw.
     """
     return tuple(sorted((str(key), polarity) for key, polarity in clause))
-
-
-class SampleArena:
-    """Preallocated sampling buffers, reused across batches.
-
-    One arena serves one ``(packed shape, batch, dtype)`` combination at
-    a time; :meth:`ensure` reallocates only when any of those change (a
-    Karp–Luby run over one lineage sees at most two batch sizes: the
-    cap and the final remainder).  Each sampler owns its arena rather
-    than sharing one through the packed lineage, which keeps
-    concurrent samplers over one lineage independent.
-    """
-
-    __slots__ = ("key", "uniforms", "worlds", "satisfied", "gather")
-
-    def __init__(self) -> None:
-        self.key = None
-        self.uniforms = None
-        self.worlds = None
-        self.satisfied = None
-        self.gather = None
-
-    def ensure(self, packed: "PackedLineage", batch: int, dtype) -> None:
-        key = (
-            packed.n_events, packed.n_clauses, packed.padded_width,
-            batch, dtype,
-        )
-        if self.key == key:
-            return
-        self.key = key
-        self.uniforms = np.empty((packed.n_events, batch), dtype=dtype)
-        self.worlds = np.empty((packed.n_events, batch), dtype=bool)
-        self.satisfied = np.empty((packed.n_clauses, batch), dtype=bool)
-        self.gather = np.empty(
-            (packed.n_clauses * packed.padded_width, batch), dtype=bool
-        )
 
 
 class PackedLineage:
@@ -132,20 +90,21 @@ class PackedLineage:
         (2, 3)
         >>> import numpy as np
         >>> worlds = packed.sample_worlds(np.random.default_rng(0), batch=4)
-        >>> worlds.shape, packed.clause_satisfaction(worlds).shape
-        ((3, 4), (2, 4))
+        >>> worlds.shape, packed.satisfied_bits(worlds).shape
+        ((3, 4), (2, 1))
     """
 
     __slots__ = (
         "events",
         "event_index",
         "weights",
-        "weights_f32",
+        "thresholds",
+        "certain_events",
         "clause_starts",
         "literal_events",
         "literal_polarities",
         "padded_events",
-        "padded_polarities",
+        "padded_masks",
         "padded_width",
         "clause_log_probs",
         "clause_probs",
@@ -204,8 +163,7 @@ class PackedLineage:
 
         Padding repeats each clause's *own first literal* (duplicating a
         conjunct never changes the clause's truth value), so the fixed
-        ``any`` fold over ``padded_width`` columns equals the ragged
-        evaluation.
+        fold over ``padded_width`` columns equals the ragged evaluation.
         """
         starts = self.clause_starts
         n_clauses = len(starts) - 1
@@ -214,22 +172,39 @@ class PackedLineage:
         self.padded_width = width
         if n_clauses == 0 or width == 0:
             self.padded_events = np.zeros(0, dtype=np.int32)
-            self.padded_polarities = np.zeros(0, dtype=bool)
+            self.padded_masks = np.zeros(0, dtype=np.uint8)
             return
         columns = np.arange(width, dtype=np.int64)[None, :]
         offsets = np.where(columns < lengths[:, None], columns, 0)
         flat = (starts[:-1, None] + offsets).reshape(-1)
         #: Flattened (n_clauses * width) padded literal columns.
         self.padded_events = self.literal_events[flat]
-        self.padded_polarities = self.literal_polarities[flat]
+        #: Per padded literal, the byte whose XOR with a packed world
+        #: byte sets the bits of the samples violating the literal:
+        #: all ones for a positive literal, zero for a negated one.
+        self.padded_masks = np.where(
+            self.literal_polarities[flat], 0xFF, 0
+        ).astype(np.uint8)
 
     def _finalize(self) -> None:
         """Everything derived from (CSR, weights): per-clause products,
-        the Karp–Luby clause distribution, and the float32 weights."""
-        # float32 copy for the uniform-draw compare: halves the
-        # bandwidth of world generation; the ~1e-7 relative rounding of
-        # a marginal is far below any Monte Carlo resolution.
-        self.weights_f32 = self.weights.astype(np.float32)
+        the Karp–Luby clause distribution, and the draw thresholds."""
+        # numpy's float32 uniform is (w >> 8) * 2^-24 for a 32-bit word
+        # w, so "uniform < float32(p)" holds exactly when
+        # w < ceil(float32(p) * 2^24) * 2^8.  Both products are exact in
+        # float64 (a float32 has a 24-bit significand).
+        words = np.ceil(
+            self.weights.astype(np.float32).astype(np.float64) * 2.0**24
+        ) * 2.0**8
+        #: Events whose float32 marginal is 1.0: their threshold, 2^32,
+        #: does not fit in uint32, so :meth:`sample_worlds` sets their
+        #: rows outright.
+        self.certain_events = np.flatnonzero(words >= 2.0**32)
+        #: Per event, the smallest 32-bit word that draws it false (0
+        #: for the certain events above).
+        self.thresholds = np.where(words < 2.0**32, words, 0).astype(
+            np.uint32
+        )
         # Per-clause Π weight(literal) in log space: one gather + one
         # reduceat instead of a python product per clause.
         literal_weights = np.where(
@@ -285,70 +260,49 @@ class PackedLineage:
     # Batched sampling primitives (worlds are event-major: (E, batch))
     # ------------------------------------------------------------------
 
-    def sample_worlds(
-        self,
-        rng,
-        batch: int,
-        arena: Optional[SampleArena] = None,
-        dtype=None,
-    ):
+    def sample_worlds(self, rng, batch: int):
         """An ``(n_events, batch)`` boolean world matrix ~ the marginals.
 
-        With an ``arena`` the uniforms and the world matrix land in the
-        arena's preallocated buffers (identical values — ``out=`` draws
-        consume the generator stream exactly like fresh allocations).
-        ``dtype`` selects the uniform precision; the float32 default
-        halves draw bandwidth (see ``benchmarks/bench_sampling.py`` for
-        the float32-vs-float64 rows pinning this choice).
+        Cell ``(e, s)`` is 32-bit word ``e * batch + s`` of ``rng``'s raw
+        64-bit output, low half first (the order numpy's float32 draws
+        consume it on a little-endian host), compared against
+        ``thresholds[e]``: cell for cell the matrix
+        ``rng.random((n_events, batch), dtype=float32) < float32(p)``,
+        without building a float per cell.  When ``n_events * batch``
+        is odd the high half of the last word is dropped, so later draws
+        keep the distribution but not numpy's float32 digits.
         """
-        if dtype is None:
-            dtype = np.float32
-        threshold = (
-            self.weights_f32 if dtype == np.float32 else self.weights
+        cells = self.n_events * batch
+        words = rng.bit_generator.random_raw((cells + 1) // 2).view(np.uint32)
+        worlds = (
+            words[:cells].reshape(self.n_events, batch)
+            < self.thresholds[:, None]
         )
-        if arena is None:
-            uniforms = rng.random((self.n_events, batch), dtype=dtype)
-            return uniforms < threshold[:, None]
-        arena.ensure(self, batch, dtype)
-        rng.random(out=arena.uniforms, dtype=dtype)
-        np.less(arena.uniforms, threshold[:, None], out=arena.worlds)
-        return arena.worlds
+        worlds[self.certain_events] = True
+        return worlds
 
-    def clause_satisfaction(self, worlds, arena: Optional[SampleArena] = None):
-        """``(n_clauses, batch)`` clause truth values, one matrix pass.
+    def satisfied_bits(self, worlds):
+        """Clause truth values on bit-packed worlds.
 
-        Both paths gather the padded literal rows of the world matrix,
-        compare against the polarities, and fold each clause's
-        fixed-width window with one ``any`` reduction — no ragged
-        segments.  With an arena every intermediate lands in the
-        preallocated ``gather``/``satisfied`` buffers (``np.take`` with
-        ``out=`` instead of fancy indexing): same truth table, zero
-        per-batch allocations.
+        Returns a ``(n_clauses, ceil(batch / 8))`` uint8 matrix in
+        ``np.packbits`` order: bit ``7 - s % 8`` of byte ``s // 8`` in
+        row ``c`` is set when clause ``c`` holds in world ``s``; bits
+        past ``batch`` are padding.  Each gathered padded-literal row
+        is XORed with its polarity mask, which leaves a bit set where
+        the sample violates the literal; an OR fold over each clause's
+        ``padded_width`` rows gives its violated bits, and their
+        complement the satisfied ones.
         """
-        if arena is None:
-            literal_rows = worlds[self.padded_events]
-            violated = literal_rows != self.padded_polarities[:, None]
-            batch = worlds.shape[1]
-            return ~violated.reshape(
-                self.n_clauses, self.padded_width, batch
-            ).any(axis=1)
-        if self.padded_width == 0:
-            # Only empty clauses (certainly-true lineages): an empty
-            # conjunction holds vacuously, matching the reshape-fold.
-            arena.satisfied.fill(True)
-            return arena.satisfied
-        batch = worlds.shape[1]
-        gather, satisfied = arena.gather, arena.satisfied
-        # mode="clip" skips the bounds-checked buffering path (the ids
-        # are dense event indices, always in range, so it never clips).
-        np.take(worlds, self.padded_events, axis=0, out=gather, mode="clip")
-        np.not_equal(gather, self.padded_polarities[:, None], out=gather)
-        np.any(
-            gather.reshape(self.n_clauses, self.padded_width, batch),
-            axis=1, out=satisfied,
+        bits = np.packbits(worlds, axis=1)
+        literal_bits = bits[self.padded_events]
+        literal_bits ^= self.padded_masks[:, None]
+        violated = np.bitwise_or.reduce(
+            literal_bits.reshape(
+                self.n_clauses, self.padded_width, bits.shape[1]
+            ),
+            axis=1,
         )
-        np.logical_not(satisfied, out=satisfied)
-        return satisfied
+        return np.invert(violated, out=violated)
 
     def force_clauses(self, worlds, chosen) -> None:
         """Overwrite each sample's events so its chosen clause holds.
@@ -378,17 +332,18 @@ class PackedLineage:
             self.clause_cumulative, uniforms, side="right"
         ).clip(max=self.n_clauses - 1).astype(np.int64)
 
-    def coverage_hits(
-        self, worlds, chosen, arena: Optional[SampleArena] = None
-    ) -> int:
+    def coverage_hits(self, worlds, chosen) -> int:
         """Karp–Luby coverage count for a forced world batch.
 
-        A trial is a hit when its chosen clause is the *first* satisfied
-        clause of its world.  The chosen clause is forced true, so a
-        first satisfied clause always exists and ``argmax`` (index of
-        the first True per column) finds it in one pass; the indicator
-        is simply ``first == chosen``.
+        A trial is a hit when no clause before its chosen one holds in
+        its world.  A prefix OR down the rows of :meth:`satisfied_bits`
+        sets bit ``s`` of row ``c`` when some clause ``<= c`` holds in
+        world ``s``, so a trial hits when it chose clause 0 or its bit
+        in row ``chosen - 1`` is clear.
         """
-        satisfied = self.clause_satisfaction(worlds, arena)
-        first_satisfied = satisfied.argmax(axis=0)
-        return int((first_satisfied == chosen).sum())
+        earlier = np.bitwise_or.accumulate(self.satisfied_bits(worlds), axis=0)
+        samples = np.arange(len(chosen))
+        # A trial that chose clause 0 reads row -1; the mask below
+        # counts it as a hit whatever that row holds.
+        bit = (earlier[chosen - 1, samples >> 3] >> (7 - (samples & 7))) & 1
+        return int(np.count_nonzero((chosen == 0) | (bit == 0)))

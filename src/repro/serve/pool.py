@@ -171,6 +171,13 @@ class SessionConfig:
     #: ``REPRO_FAULTS`` environment variable arms it process-wide.
     faults: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # Checked here, in the caller, rather than in a spawned worker.
+        if self.mc_samples < 1:
+            raise ValueError(
+                f"mc_samples must be >= 1, got {self.mc_samples}"
+            )
+
     def build_session(
         self,
         db: ProbabilisticDatabase,
@@ -490,6 +497,10 @@ class ServerPool:
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}"
+            )
+        if overload_samples is not None and overload_samples < 1:
+            raise ValueError(
+                f"overload_samples must be >= 1, got {overload_samples}"
             )
         self.db = db
         self.config = config if config is not None else SessionConfig()

@@ -11,8 +11,9 @@ from repro.engines import (
     estimate_lineage,
 )
 from repro.lineage.grounding import ground_lineage
+from repro.engines.montecarlo import naive_estimate
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import QuerySession
+from repro.serve import QuerySession, ServerPool, SessionConfig
 
 lineage = LineageEngine()
 
@@ -81,6 +82,80 @@ class TestMonteCarlo:
         session.evaluate("R(x,y), R(y,z)")
         series = session.metrics.snapshot()["repro_mc_samples_total"]
         assert sum(series["values"].values()) == 321
+
+
+class TestSampleBudget:
+    """A Monte Carlo budget below one sample draws nothing, so every
+    entry point rejects it instead of reporting 0.0 as a probability."""
+
+    @pytest.fixture
+    def chain(self):
+        q = parse("R(x), S(x,y), T(y)")
+        db = random_database_for_query(q, 3, density=0.6, seed=0)
+        return q, db
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_engine_rejects_budget_below_one(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            MonteCarloEngine(samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            MonteCarloEngine(samples=100).reconfigured(samples=samples)
+
+    def test_router_and_session_reject_budget_below_one(self, chain):
+        _q, db = chain
+        with pytest.raises(ValueError, match="samples"):
+            RouterEngine(compile_budget=0, mc_samples=-5)
+        with pytest.raises(ValueError, match="samples"):
+            QuerySession(db, mc_samples=0, compile_budget=0)
+        session = QuerySession(db, compile_budget=0)
+        with pytest.raises(ValueError, match="samples"):
+            session.set_sample_budget(0)
+
+    def test_session_config_rejects_budget_below_one(self):
+        # Raised in the caller, before any worker is spawned.
+        with pytest.raises(ValueError, match="mc_samples"):
+            SessionConfig(mc_samples=0, compile_budget=0)
+
+    def test_pool_rejects_overload_budget_below_one(self, chain):
+        _q, db = chain
+        with pytest.raises(ValueError, match="overload_samples"):
+            ServerPool(db, workers=0, overload_samples=0)
+
+    def test_estimate_lineage_rejects_budget_below_one(self, chain):
+        q, db = chain
+        with pytest.raises(ValueError, match="samples"):
+            estimate_lineage(ground_lineage(q, db), -5, 1)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_naive_estimate_rejects_budget_below_one(self, chain, backend):
+        import random
+
+        q, db = chain
+        with pytest.raises(ValueError, match="samples"):
+            naive_estimate(ground_lineage(q, db), 0, random.Random(1), backend)
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["evaluate", "answers", "serve"])
+    def test_cli_samples_flag_rejects_budget_below_one(
+        self, tmp_path, capsys, command, samples
+    ):
+        import json
+
+        from repro.cli import main
+
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"R": [[[1], 0.5]]}))
+        requests = tmp_path / "requests.json"
+        requests.write_text(json.dumps([{"op": "evaluate", "query": "R(x)"}]))
+        argv = {
+            "evaluate": ["evaluate", "R(x)", str(path)],
+            "answers": ["answers", "Q(x) :- R(x)", str(path)],
+            "serve": ["serve", str(path), "--requests", str(requests)],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--samples", samples])
+        assert exit_info.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
 
 class TestRouter:

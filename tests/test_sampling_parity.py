@@ -5,10 +5,13 @@ estimators as the scalar oracle:
 
 * **draw-for-draw parity** — the packed clause evaluation and the
   Karp–Luby coverage indicator are re-derived in pure python over the
-  *same* sampled matrices and must match exactly, sample by sample;
+  *same* sampled matrices and must match exactly, sample by sample,
+  and the raw-word world draw matches numpy's float32 uniform draw
+  cell for cell;
 * **statistical agreement** — both backends land within their 95%
   intervals of the exact WMC probability across the paper's query zoo
-  and random instances;
+  and random instances, and the intervals cover it at their stated
+  rate;
 * **plumbing** — backend selection, clamping on the answers path, and
   the batched circuit evaluator against its scalar counterpart.
 """
@@ -25,6 +28,7 @@ from repro.db import random_database_for_query
 from repro.engines import MonteCarloEngine, CompiledEngine
 from repro.engines.montecarlo import (
     KarpLubySampler,
+    estimate_lineage,
     naive_estimate,
     resolve_backend,
 )
@@ -42,6 +46,33 @@ def small_lineage(seed=3, domain=4):
     return ground_lineage(q, db)
 
 
+def many_clause_lineage():
+    """22 clauses over 33 events: enough clauses that a Karp–Luby trial
+    can miss, so a coverage bug changes the hit count (on a one-clause
+    lineage every trial is a hit, whatever the kernel computes)."""
+    q = parse("R(x), S(x,y), T(y)")
+    db = random_database_for_query(q, 6, density=0.8, seed=1)
+    return ground_lineage(q, db)
+
+
+def mixed_polarity_lineage():
+    """Clauses with negated literals, whose packed padding bits come
+    out set: a count over whole bytes would read them as hits."""
+    rng = random.Random(3)
+    weights = {("E", (i,)): rng.uniform(0.2, 0.8) for i in range(12)}
+    keys = list(weights)
+    clauses = [
+        [(keys[i], rng.random() < 0.5) for i in rng.sample(range(12), 3)]
+        for _ in range(10)
+    ]
+    return make_lineage(clauses, weights)
+
+
+#: Draw-for-draw batch sizes; neither is a multiple of 8, so the last
+#: packed byte carries padding bits.
+BATCHES = (300, 301)
+
+
 def reference_satisfaction(packed, worlds):
     """Scalar re-evaluation of the CSR clauses over a world matrix."""
     n_samples = worlds.shape[1]
@@ -57,6 +88,23 @@ def reference_satisfaction(packed, worlds):
             ))
         out.append(row)
     return np.array(out, dtype=bool)
+
+
+def reference_hits(packed, worlds, chosen):
+    """Scalar Karp–Luby coverage: no clause before the chosen one holds."""
+    satisfied = reference_satisfaction(packed, worlds)
+    hits = 0
+    for s, clause in enumerate(chosen):
+        # The forced clause must hold in its own world.
+        assert satisfied[clause, s]
+        if not satisfied[:clause, s].any():
+            hits += 1
+    return hits
+
+
+def unpacked(bits, batch):
+    """The ``(rows, batch)`` bool matrix behind packed bit rows."""
+    return np.unpackbits(bits, axis=1, count=batch).astype(bool)
 
 
 class TestPackedStructure:
@@ -96,95 +144,144 @@ class TestPackedStructure:
         assert packed.padded_width == 3
         worlds = packed.sample_worlds(np.random.default_rng(0), 64)
         assert np.array_equal(
-            packed.clause_satisfaction(worlds),
+            unpacked(packed.satisfied_bits(worlds), 64),
             reference_satisfaction(packed, worlds),
         )
+
+
+#: Marginals at and next to the ends of [0, 1]; float32(1 - 1e-12) is 1.0.
+EXTREME_MARGINALS = (0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0)
+
+
+def extreme_lineage():
+    weights = {("R", (i,)): p for i, p in enumerate(EXTREME_MARGINALS)}
+    return make_lineage([[(key, True)] for key in weights], weights)
+
+
+class TestWorldDraw:
+    """Worlds are raw 32-bit generator words compared against one
+    integer threshold per event."""
+
+    def test_thresholds_are_smallest_words_reaching_the_marginal(self):
+        # numpy's float32 uniform of a word w is (w >> 8) * 2^-24, and
+        # a cell is true when that uniform is below float32(p): the
+        # threshold is the smallest w whose uniform is not.
+        packed = PackedLineage.of(extreme_lineage())
+        for event, threshold in zip(packed.events, packed.thresholds):
+            p32 = float(np.float32(packed.weights[packed.event_index[event]]))
+            if p32 == 1.0:
+                # No 32-bit word reaches 1.0: the row is always true.
+                assert packed.event_index[event] in packed.certain_events
+                continue
+            w = int(threshold)
+            assert (w >> 8) * 2.0**-24 >= p32
+            assert w == 0 or ((w - 1) >> 8) * 2.0**-24 < p32
+        assert packed.n_events == len(EXTREME_MARGINALS)
+        assert len(packed.certain_events) == 2  # 1 - 1e-12 and 1
+
+    def test_marginal_zero_never_and_one_always(self):
+        packed = PackedLineage.of(extreme_lineage())
+        worlds = packed.sample_worlds(np.random.default_rng(2), 301)
+        rows = {
+            packed.weights[i]: worlds[i] for i in range(packed.n_events)
+        }
+        assert not rows[0.0].any()
+        assert rows[1.0].all()
+        assert rows[1.0 - 1e-12].all()
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_worlds_match_float32_uniform_draw(self, batch):
+        # Cell for cell the matrix rng.random(dtype=float32) <
+        # float32(p) — so a fixed seed keeps its estimates' digits.
+        # With an even cell count both draws also leave the generator
+        # in the same place; with an odd one the raw draw drops the
+        # last word's high half.
+        packed = PackedLineage.of(many_clause_lineage())
+        drawn = np.random.default_rng(7)
+        worlds = packed.sample_worlds(drawn, batch)
+        reference = np.random.default_rng(7)
+        uniforms = reference.random((packed.n_events, batch), dtype=np.float32)
+        expected = uniforms < packed.weights.astype(np.float32)[:, None]
+        assert np.array_equal(worlds, expected)
+        if packed.n_events * batch % 2 == 0:
+            assert np.array_equal(drawn.random(8), reference.random(8))
 
 
 class TestDrawForDrawParity:
     def test_naive_clause_evaluation(self):
-        lineage = small_lineage()
-        packed = PackedLineage.of(lineage)
-        worlds = packed.sample_worlds(np.random.default_rng(12), 200)
-        assert np.array_equal(
-            packed.clause_satisfaction(worlds),
-            reference_satisfaction(packed, worlds),
-        )
+        for lineage in (many_clause_lineage(), mixed_polarity_lineage()):
+            packed = PackedLineage.of(lineage)
+            for batch in BATCHES:
+                worlds = packed.sample_worlds(np.random.default_rng(12), batch)
+                assert np.array_equal(
+                    unpacked(packed.satisfied_bits(worlds), batch),
+                    reference_satisfaction(packed, worlds),
+                )
+                # The naive estimator counts the worlds where any clause
+                # holds, over the same draw.
+                seed = random.Random(4).randrange(2**63)
+                worlds = packed.sample_worlds(np.random.default_rng(seed), batch)
+                hits = int(
+                    reference_satisfaction(packed, worlds).any(axis=0).sum()
+                )
+                assert 0 < hits < batch
+                assert naive_estimate(
+                    lineage, batch, random.Random(4), "numpy"
+                ) == hits / batch
 
     def test_karp_luby_coverage_indicator(self):
-        lineage = small_lineage()
-        sampler = KarpLubySampler(lineage, random.Random(5), "numpy")
-        chosen, worlds = sampler._draw_batch(300)
-        packed = sampler.packed
-        satisfied = reference_satisfaction(packed, worlds)
-        hits = 0
-        for s in range(300):
-            # The forced clause must hold in its own world.
-            assert satisfied[chosen[s], s]
-            if not any(satisfied[c, s] for c in range(chosen[s])):
-                hits += 1
-        assert packed.coverage_hits(worlds, chosen) == hits
+        lineage = many_clause_lineage()
+        for batch in BATCHES:
+            sampler = KarpLubySampler(lineage, random.Random(5), "numpy")
+            chosen, worlds = sampler._draw_batch(batch)
+            packed = sampler.packed
+            assert packed.n_clauses >= 10
+            hits = reference_hits(packed, worlds, chosen)
+            assert 0 < hits < batch
+            assert packed.coverage_hits(worlds, chosen) == hits
 
     def test_extend_equals_manual_batches(self):
-        lineage = small_lineage()
-        auto = KarpLubySampler(lineage, random.Random(9), "numpy")
-        auto.extend(300)
-        manual = KarpLubySampler(lineage, random.Random(9), "numpy")
-        chosen, worlds = manual._draw_batch(300)
-        assert auto.hits == manual.packed.coverage_hits(worlds, chosen)
+        lineage = many_clause_lineage()
+        for batch in BATCHES:
+            auto = KarpLubySampler(lineage, random.Random(9), "numpy")
+            auto.extend(batch)
+            manual = KarpLubySampler(lineage, random.Random(9), "numpy")
+            chosen, worlds = manual._draw_batch(batch)
+            assert manual.packed.n_clauses >= 10
+            hits = reference_hits(manual.packed, worlds, chosen)
+            assert 0 < hits < batch
+            assert auto.hits == hits
 
 
 class TestArenaKernels:
-    """The in-place arena variants must be bit-identical to the
-    allocating paths: ``out=`` uniform draws consume the generator
-    stream exactly like fresh allocations, and the column-fold clause
-    evaluation computes the same truth table as the padded gather."""
-
-    def test_arena_worlds_equal_fresh_alloc(self):
-        from repro.lineage.packed import SampleArena
-
-        packed = PackedLineage.of(small_lineage())
-        fresh = packed.sample_worlds(np.random.default_rng(3), 128)
-        arena = SampleArena()
-        reused = packed.sample_worlds(
-            np.random.default_rng(3), 128, arena=arena
-        )
-        assert np.array_equal(fresh, reused)
-        # Second fill reuses the same buffers (no reallocation).
-        buffer_id = id(arena.worlds)
-        packed.sample_worlds(np.random.default_rng(4), 128, arena=arena)
-        assert id(arena.worlds) == buffer_id
+    """The kernels the sampler runs batch after batch.  They once
+    wrote into a reusable buffer arena; with one allocating path left,
+    the checks are that the clause evaluation leaves its world matrix
+    untouched and that ``extend()`` consumes the generator stream
+    exactly like a bare ``_draw_batch()``."""
 
     def test_arena_satisfaction_equal(self):
-        from repro.lineage.packed import SampleArena
-
         packed = PackedLineage.of(small_lineage())
-        arena = SampleArena()
-        worlds = packed.sample_worlds(
-            np.random.default_rng(11), 256, arena=arena
-        )
+        worlds = packed.sample_worlds(np.random.default_rng(11), 256)
+        before = worlds.copy()
+        bits = packed.satisfied_bits(worlds)
         assert np.array_equal(
-            packed.clause_satisfaction(worlds, arena=arena),
-            reference_satisfaction(packed, worlds),
+            unpacked(bits, 256), reference_satisfaction(packed, worlds)
         )
+        # The in-place polarity XOR and complement act on a gathered
+        # copy: the input is unchanged and a second call agrees.
+        assert np.array_equal(worlds, before)
+        assert np.array_equal(packed.satisfied_bits(worlds), bits)
 
     def test_extend_with_arena_matches_no_arena_draws(self):
         lineage = small_lineage()
-        with_arena = KarpLubySampler(lineage, random.Random(21), "numpy")
-        with_arena.extend(500)  # extend() uses the sampler's arena
+        extended = KarpLubySampler(lineage, random.Random(21), "numpy")
+        extended.extend(500)
         bare = KarpLubySampler(lineage, random.Random(21), "numpy")
-        chosen, worlds = bare._draw_batch(500)  # no arena: fresh arrays
-        assert with_arena.hits == bare.packed.coverage_hits(worlds, chosen)
-
-    def test_float64_worlds_same_distribution(self):
-        # float32 is the default; the float64 variant exists for the
-        # benchmark's precision comparison and must stay valid.
-        packed = PackedLineage.of(small_lineage())
-        worlds = packed.sample_worlds(
-            np.random.default_rng(5), 4096, dtype=np.float64
-        )
-        expected = packed.weights.mean()
-        assert worlds.mean() == pytest.approx(expected, abs=0.05)
+        chosen, worlds = bare._draw_batch(500)
+        hits = reference_hits(bare.packed, worlds, chosen)
+        assert bare.packed.coverage_hits(worlds, chosen) == hits
+        assert extended.hits == hits
 
 
 class TestStatisticalAgreement:
@@ -240,6 +337,26 @@ class TestStatisticalAgreement:
         values = [s.estimate() for s in estimates.values()]
         assert values[0] == pytest.approx(exact, abs=0.02)
         assert values[1] == pytest.approx(exact, abs=0.02)
+
+
+class TestIntervalCalibration:
+    """Karp–Luby's 95% interval covers the exact value at its stated
+    rate, at 2,000 samples (the overload clamp's budget)."""
+
+    @pytest.mark.parametrize("text", UNSAFE)
+    def test_interval_covers_exact_value(self, text):
+        q = parse(text)
+        db = random_database_for_query(q, 4, density=0.8, seed=1)
+        lineage = ground_lineage(q, db)
+        assert lineage.clause_count() >= 5
+        exact = exact_probability(lineage)
+        covered = 0
+        for seed in range(400):
+            estimate, half_width = estimate_lineage(
+                lineage, 2_000, seed, "numpy"
+            )
+            covered += abs(estimate - exact) <= half_width
+        assert covered >= 360, f"{text}: {covered}/400 intervals cover"
 
 
 class TestBackendPlumbing:

@@ -239,9 +239,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--overload-threshold", type=float, default=None, metavar="SECONDS",
-        help="HTTP mode only: queue-wait EWMA above which the pool "
-             "clamps Monte Carlo sample budgets until load drains "
-             "(default off)",
+        help="HTTP mode only: EWMA of the time requests wait on their "
+             "worker's queue above which the pool clamps Monte Carlo "
+             "sample budgets until load drains; a worker's start-up "
+             "counts as wait, so it can switch on briefly after a "
+             "start or respawn (default off)",
     )
     p_serve.add_argument(
         "--faults", metavar="SPEC", default=None,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .predicates import Comparison
+from .predicates import Comparison, value_less
 from .terms import Constant, Term, Variable
 
 
@@ -164,14 +164,11 @@ class _Solution:
         for pred in predicates:
             if pred.op == "<":
                 less.add((rep[pred.left], rep[pred.right]))
-        constants = sorted(
-            {t for t in terms if isinstance(t, Constant)},
-        )
-        for i, low in enumerate(constants):
-            for high in constants[i + 1:]:
-                low_rep, high_rep = rep.get(low, low), rep.get(high, high)
-                if low_rep != high_rep:
-                    less.add((low_rep, high_rep))
+        constants = [t for t in terms if isinstance(t, Constant)]
+        for low in constants:
+            for high in constants:
+                if value_less(low.value, high.value) and rep[low] != rep[high]:
+                    less.add((rep[low], rep[high]))
 
         # 3. No strict cycle may exist (a < ... < a is unsatisfiable).
         if _has_cycle(less):
@@ -231,15 +228,8 @@ def order_type(values: Sequence) -> Tuple[str, ...]:
             left, right = values[i], values[j]
             if left == right:
                 tokens.append(f"{i}={j}")
-            elif _lt(left, right):
+            elif value_less(left, right):
                 tokens.append(f"{i}<{j}")
             else:
                 tokens.append(f"{i}>{j}")
     return tuple(tokens)
-
-
-def _lt(a, b) -> bool:
-    try:
-        return a < b
-    except TypeError:
-        return (type(a).__name__, str(a)) < (type(b).__name__, str(b))

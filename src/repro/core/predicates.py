@@ -76,9 +76,10 @@ class Comparison:
         return (Comparison("=", a, b),)
 
     def evaluate(self, left_value, right_value) -> bool:
-        """Evaluate against concrete Python values."""
+        """Evaluate against concrete Python values (``<`` is
+        :func:`value_less`)."""
         if self.op == "<":
-            return left_value < right_value
+            return value_less(left_value, right_value)
         if self.op == "=":
             return left_value == right_value
         return left_value != right_value
@@ -88,6 +89,25 @@ class Comparison:
 
     def __repr__(self) -> str:
         return f"Comparison({self})"
+
+
+def value_less(left, right) -> bool:
+    """``left < right`` over the ordered domain of constant values.
+
+    Values of one type compare natively.  A pair Python cannot order
+    (an int and a str) orders by type name, then by text, so a mixed
+    active domain stays totally ordered — the one rule every engine
+    applies to a predicate such as ``x < 3`` over ``'1'``.
+
+    >>> value_less(7, 3), value_less("1", 3), value_less(3, "1")
+    (False, False, True)
+    """
+    try:
+        return left < right
+    except TypeError:
+        return (type(left).__name__, str(left)) < (
+            type(right).__name__, str(right)
+        )
 
 
 def _term_key(term: Term) -> tuple:
@@ -122,14 +142,5 @@ def constants_order_consistent(pred: Comparison) -> bool:
     check), otherwise evaluates the comparison on the constant values.
     """
     if isinstance(pred.left, Constant) and isinstance(pred.right, Constant):
-        try:
-            return pred.evaluate(pred.left.value, pred.right.value)
-        except TypeError:
-            # Incomparable constant types (e.g. int vs str): use the
-            # canonical cross-type ordering from Constant.
-            if pred.op == "<":
-                return pred.left < pred.right
-            if pred.op == "=":
-                return pred.left == pred.right
-            return pred.left != pred.right
+        return pred.evaluate(pred.left.value, pred.right.value)
     return True

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.orders import OrderConstraints
-from ..core.predicates import Comparison
+from ..core.predicates import Comparison, constants_order_consistent
 from ..core.query import ConjunctiveQuery, canonical_string
 from ..core.terms import Constant, Term, Variable
 from ..core.union import (
@@ -589,10 +589,9 @@ class _Solver:
     # -- ground probabilities ----------------------------------------------
 
     def _ground(self, q: ConjunctiveQuery) -> float:
-        for pred in q.predicates:
-            # All terms are constants here.
-            if not _constant_predicate_holds(pred):
-                return 0.0
+        # All terms are constants here.
+        if not all(map(constants_order_consistent, q.predicates)):
+            return 0.0
         if self.db is None:
             return 0.5
         positive = {(a.relation, _ground_row(a)) for a in q.positive_atoms}
@@ -691,20 +690,6 @@ def _trichotomy_branches(
     else:  # two constants: never reached (filtered by caller)
         equal = disjunct
     return [less, equal, greater]
-
-
-def _constant_predicate_holds(pred: Comparison) -> bool:
-    left = pred.left
-    right = pred.right
-    if not (isinstance(left, Constant) and isinstance(right, Constant)):
-        return True
-    try:
-        return pred.evaluate(left.value, right.value)
-    except TypeError:
-        return pred.evaluate(
-            (type(left.value).__name__, str(left.value)),
-            (type(right.value).__name__, str(right.value)),
-        )
 
 
 def _ground_row(atom: Atom) -> Tuple:

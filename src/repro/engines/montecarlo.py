@@ -306,6 +306,8 @@ def naive_estimate(
 ) -> float:
     """Fraction of sampled worlds satisfying the DNF."""
     _require_samples(samples)
+    if lineage.certainly_true:
+        return 1.0  # no clause to satisfy, yet every world does
     if resolve_backend(backend) == "numpy":
         return _naive_estimate_numpy(lineage, samples, rng)
     return _naive_estimate_python(lineage, samples, rng)

@@ -27,7 +27,7 @@ from ..core.hierarchy import (
     is_hierarchical,
     maximal_variables,
 )
-from ..core.predicates import Comparison
+from ..core.predicates import Comparison, constants_order_consistent
 from ..core.query import ConjunctiveQuery
 from ..core.substitution import Substitution
 from ..core.terms import Constant, Variable
@@ -352,15 +352,7 @@ def _candidates(
 
 
 def _ground_predicates_hold(predicates: Sequence[Comparison]) -> bool:
-    for pred in predicates:
-        if isinstance(pred.left, Constant) and isinstance(pred.right, Constant):
-            try:
-                if not pred.evaluate(pred.left.value, pred.right.value):
-                    return False
-            except TypeError:
-                if not pred.evaluate(str(pred.left.value), str(pred.right.value)):
-                    return False
-    return True
+    return all(map(constants_order_consistent, predicates))
 
 
 def _row(atom: Atom):

@@ -514,13 +514,7 @@ def _predicates_hold(
     for pred in predicates:
         left = pred.left.value if isinstance(pred.left, Constant) else assignment[pred.left]
         right = pred.right.value if isinstance(pred.right, Constant) else assignment[pred.right]
-        try:
-            ok = pred.evaluate(left, right)
-        except TypeError:
-            ok = pred.evaluate(
-                (type(left).__name__, str(left)), (type(right).__name__, str(right))
-            )
-        if not ok:
+        if not pred.evaluate(left, right):
             return False
     return True
 

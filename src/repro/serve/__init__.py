@@ -7,8 +7,9 @@ Three layers, each built on the previous (full tour in
   database: prepared queries, precise invalidation, batched circuit
   sweeps (:mod:`repro.serve.session`);
 * :class:`ServerPool` — sessions sharded across worker processes by
-  canonical query shape, with a request-coalescing front and database
-  version broadcast (:mod:`repro.serve.pool`);
+  canonical query shape, with a front that queues each call as it
+  admits it (one message per shard per call) and database version
+  broadcast (:mod:`repro.serve.pool`);
 * :class:`RequestServer` / :func:`serve_forever` — the asyncio
   JSON-over-HTTP server the CLI exposes as ``repro serve --listen``
   (:mod:`repro.serve.server`).

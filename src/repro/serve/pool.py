@@ -11,12 +11,11 @@ traffic.  The moving parts:
   capacity: each worker only has to hold its own slice of the shape
   universe, where a single session would thrash its LRU.
 
-* **A batching front.**  Requests issued concurrently (from many
-  threads, or the HTTP server's handlers) park in a per-shard buffer;
-  whichever thread finds the shard idle becomes the *driver* and
-  flushes the whole buffer as one ``evaluate_many`` /
-  ``answers_many`` message, so in-flight same-shape requests coalesce
-  into a single vectorized circuit sweep inside the worker.
+* **Dispatch at admission.**  The lock hold that admits a call also
+  queues it: each shard gets at most one ``evaluate_many`` and one
+  ``answers_many`` message per call, so one call's same-shard items
+  share a single vectorized circuit sweep inside the worker.
+  Concurrent callers' items do not share messages.
 
 * **Replicas.**  Each worker holds a replica of the database: a
   snapshot of the front database plus every message on its queue
@@ -43,11 +42,16 @@ traffic.  The moving parts:
 
 * **Deadlines, retry and admission.**  Each request carries an
   optional deadline; expiry purges the in-flight entry (no slot leak,
-  no stale coalescing target) and retries once with capped backoff on
-  the respawned or inline path.  A bounded per-shard queue depth sheds
-  over-limit requests fast (:class:`PoolOverloadError` — never
-  queued), and an overload mode (queue-wait EWMA above threshold)
-  degrades gracefully by clamping Monte Carlo sample budgets.
+  no late reply on an abandoned future) and retries once with capped
+  backoff on the respawned or inline path.  A bounded per-shard queue
+  depth sheds over-limit requests fast (:class:`PoolOverloadError` —
+  never queued), and an overload mode degrades gracefully by clamping
+  Monte Carlo sample budgets.  Overload is an EWMA of queue wait: the
+  time from queueing a message to its worker taking it off the queue,
+  stamped by the worker and carried back on the reply.  A message
+  queued before its worker is up also waits out the worker's start-up
+  (about 0.5–1 s for a spawned worker), so with a threshold set,
+  overload mode can switch on briefly after a start or a respawn.
 
 Monte Carlo work needs no pool machinery of its own: an unsafe query
 is sampled inside the worker that owns its shape, like every other
@@ -69,6 +73,7 @@ and fork-less platforms simple::
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import threading
 import time
 import zlib
@@ -210,9 +215,10 @@ class PoolStats:
     workers: List[SessionStats] = field(default_factory=list)
     #: Individual requests accepted by the front.
     requests: int = 0
-    #: Worker messages dispatched by the batching front.
+    #: Worker messages sent, plus reads served on the front session.
     batches: int = 0
-    #: Requests that shared a dispatch with at least one other request.
+    #: Requests that shared a worker message with another item of
+    #: their call.
     coalesced: int = 0
     #: Single-tuple update broadcasts.
     updates: int = 0
@@ -260,9 +266,11 @@ class PoolStats:
 # ----------------------------------------------------------------------
 #
 # Requests are (op, request_id, payload) tuples on a per-worker queue;
-# replies are (request_id, ok, payload) sent back on that worker's own
-# reply pipe (one per worker: a worker killed mid-send truncates only
-# its own channel, which the supervisor discards on respawn).  "update",
+# replies are (request_id, ok, payload, taken) sent back on that
+# worker's own reply pipe (one per worker: a worker killed mid-send
+# truncates only its own channel, which the supervisor discards on
+# respawn).  ``taken`` is the worker's time.time() when it took the
+# message off its queue — the front's queue wait ends there.  "update",
 # "sync" and "configure" are fire-and-forget (the front validated them
 # already); everything else is answered at most once — the reply is
 # deliberately suppressed under the "drop" fault.  A failure reply
@@ -272,8 +280,14 @@ class PoolStats:
 
 _STOP = "stop"
 
-#: Ops whose payload is ``(items, deadline)`` — the worker drops the
-#: whole batch unanswered-as-timeout when every deadline has passed.
+#: Every worker starts by ``spawn``: a respawn starts from a process
+#: whose collector and supervisor threads are running, and only
+#: ``spawn`` is safe there (a fork copies locks those threads hold).
+_SPAWN = multiprocessing.get_context("spawn")
+
+#: Ops whose payload is ``(items, deadline)`` — one call's same-shard
+#: items; the worker answers the whole batch with a timeout, unrun,
+#: once the call's deadline has passed.
 _BATCH_OPS = frozenset({"evaluate_many", "answers_many"})
 
 
@@ -284,9 +298,10 @@ def _worker_main(config, snapshot, request_queue, reply, worker_index) -> None:
     injector = build_injector(config.faults, worker_index)
     while True:
         op, request_id, payload = request_queue.get()
+        taken = time.time()
         fault = injector.before(op) if injector is not None else None
         if op == _STOP:
-            reply.send((request_id, True, None))
+            reply.send((request_id, True, None, taken))
             return
         if op == "update":
             db.add(*payload)
@@ -304,25 +319,20 @@ def _worker_main(config, snapshot, request_queue, reply, worker_index) -> None:
             session = config.build_session(db, metrics=session.metrics)
             session.stats = stats
             continue
-        if op in _BATCH_OPS:
-            deadline = payload[1]
-            if deadline is not None and time.time() > deadline:
-                # The batch expired while queued — don't burn compute
-                # on answers nobody is waiting for.
-                if fault != "drop":
-                    reply.send((
-                        request_id, False,
-                        _Failure("timeout", "deadline expired in worker queue"),
-                    ))
-                continue
-        try:
-            result = _worker_execute(session, op, payload)
-        except Exception as error:  # noqa: BLE001 - forwarded to the front
-            if fault != "drop":
-                reply.send((request_id, False, _Failure.of(error)))
+        deadline = payload[1] if op in _BATCH_OPS else None
+        if deadline is not None and time.time() > deadline:
+            # The batch expired while queued — don't burn compute on
+            # answers nobody is waiting for.
+            ok, result = False, _Failure(
+                "timeout", "deadline expired in worker queue"
+            )
         else:
-            if fault != "drop":
-                reply.send((request_id, True, result))
+            try:
+                ok, result = True, _worker_execute(session, op, payload)
+            except Exception as error:  # noqa: BLE001 - forwarded to the front
+                ok, result = False, _Failure.of(error)
+        if fault != "drop":
+            reply.send((request_id, ok, result, taken))
 
 
 @dataclass(frozen=True)
@@ -403,21 +413,10 @@ def _run_item(session: QuerySession, op: str, item):
         return _Failure.of(error)
 
 
-@dataclass
-class _PendingItem:
-    kind: str  # "evaluate" | "answers"
-    query: AnyQuery
-    k: Optional[int]
-    future: Future
-    #: ``perf_counter`` at buffer entry — dispatch observes the wait.
-    enqueued: float = 0.0
-    #: Absolute ``time.time()`` deadline, or None (wait forever).
-    deadline: Optional[float] = None
-
-
 #: One in-flight worker message: futures awaiting the reply, the shard
 #: that owns it, the payload (for supervisor re-dispatch after a worker
-#: death) and whether it has already been retried once.
+#: death), whether it has already been retried once, and the
+#: ``time.time()`` it was queued at (where its queue wait starts).
 @dataclass
 class _Inflight:
     op: str
@@ -425,6 +424,7 @@ class _Inflight:
     shard: int
     payload: object = None
     retried: bool = False
+    queued: float = 0.0
 
 
 class ServerPool:
@@ -439,10 +439,6 @@ class ServerPool:
             process, no subprocesses).
         config: per-worker :class:`SessionConfig`; defaults match
             :class:`QuerySession` defaults.
-        start_method: :mod:`multiprocessing` start method.  The default
-            ``"spawn"`` is safe regardless of the front's threads (the
-            supervisor also respawns with it); pass ``"fork"`` on POSIX
-            for faster startup of fork-safe workloads.
         request_timeout: default per-request deadline in seconds
             (None = wait forever).  Individual calls override it via
             their ``timeout`` argument.
@@ -459,16 +455,21 @@ class ServerPool:
             ``respawn_limit`` times within ``respawn_window`` seconds
             is crash-looping: it degrades to the front session instead
             of respawning again.
-        overload_threshold: queue-wait EWMA (seconds) above which the
-            pool enters overload mode and clamps every worker's Monte
-            Carlo sample budget (``overload_samples``, default a tenth
-            of the configured budget); recovery at half the threshold.
+        overload_threshold: seconds of queue wait — from queueing a
+            request's message to its worker taking it off the queue,
+            as an EWMA over requests — above which the pool enters
+            overload mode and clamps every worker's Monte Carlo sample
+            budget (``overload_samples``, default a tenth of the
+            configured budget); admission checks it, and recovery is
+            at half the threshold.  Start-up counts as wait, so the
+            mode can switch on briefly after a start or a respawn.
             None disables overload degradation.
 
     Thread-safe: any number of threads may call :meth:`evaluate`,
-    :meth:`answers`, :meth:`update` etc. concurrently; concurrent
-    same-shard requests coalesce into batched sweeps.  Use as a
-    context manager (or call :meth:`close`) for graceful shutdown.
+    :meth:`answers`, :meth:`update` etc. concurrently.  One call's
+    same-shard items share one worker message and sweep; concurrent
+    callers' items do not.  Use as a context manager (or call
+    :meth:`close`) for graceful shutdown.
     """
 
     def __init__(
@@ -477,7 +478,6 @@ class ServerPool:
         *,
         workers: int = 4,
         config: Optional[SessionConfig] = None,
-        start_method: str = "spawn",
         request_timeout: Optional[float] = None,
         request_retries: int = 1,
         retry_backoff: float = 0.05,
@@ -541,12 +541,12 @@ class ServerPool:
         )
         self._metric_queue_wait = self.metrics.histogram(
             "repro_pool_queue_wait_seconds",
-            "Time a request spent parked in its shard buffer before "
-            "the driving thread dispatched it",
+            "Time a request's message waited on its worker's queue, "
+            "from queueing to the worker taking it off",
         )
         self._metric_batch_size = self.metrics.histogram(
             "repro_pool_batch_size",
-            "Requests per dispatched worker message (coalescing depth)",
+            "Items per worker message (one call's same-shard items)",
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
         )
         self._metric_timeouts = self.metrics.counter(
@@ -593,11 +593,8 @@ class ServerPool:
         if workers == 0:
             self._front = self.config.build_session(db, metrics=self.metrics)
             return
-        import multiprocessing
-
-        self._ctx = multiprocessing.get_context(start_method)
         snapshot = db.snapshot()
-        self._request_queues = [self._ctx.Queue() for _ in range(workers)]
+        self._request_queues = [_SPAWN.Queue() for _ in range(workers)]
         self._reply_readers: List[Optional[object]] = []
         #: Readers of dead workers, waiting for the collector to close them.
         self._detached_readers: List[object] = []
@@ -609,10 +606,8 @@ class ServerPool:
         #: request id -> in-flight record for dispatched messages.
         self._pending: Dict[int, _Inflight] = {}
         self._ids = itertools.count()
-        self._buffers: List[List[_PendingItem]] = [[] for _ in range(workers)]
-        self._driving = [False] * workers
-        #: Unresolved items per shard (buffered + dispatched) — the
-        #: admission counter behind ``max_queue_depth``.
+        #: Unresolved items per shard — the admission counter behind
+        #: ``max_queue_depth``.
         self._shard_load = [0] * workers
         self._deaths: List[Deque[float]] = [deque() for _ in range(workers)]
         self._last_exit: List[Optional[int]] = [None] * workers
@@ -628,8 +623,8 @@ class ServerPool:
 
     def _spawn_worker(self, shard: int, snapshot, queue) -> tuple:
         """Start one worker on ``queue``; returns (process, reader)."""
-        reader, writer = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
+        reader, writer = _SPAWN.Pipe(duplex=False)
+        process = _SPAWN.Process(
             target=_worker_main,
             args=(self.config, snapshot, queue, writer, shard),
             daemon=True,
@@ -661,10 +656,9 @@ class ServerPool:
     ) -> List[float]:
         """Evaluate a batch; shards fan out and run concurrently.
 
-        The whole batch is buffered before any dispatch, so each shard
-        receives at most one ``evaluate_many`` message for it — same-
-        shard queries share a worker sweep instead of paying one round
-        trip each.
+        Each shard receives at most one ``evaluate_many`` message for
+        it — same-shard queries share a worker sweep instead of paying
+        one round trip each.
         """
         return self._call_many(
             [("evaluate", query, None) for query in queries], timeout
@@ -681,8 +675,8 @@ class ServerPool:
         self, queries: Sequence[QueryLike], k: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> List[List[Answer]]:
-        """Ranked answers for a batch of queries (buffered like
-        :meth:`evaluate_many`)."""
+        """Ranked answers for a batch of queries (one message per shard,
+        like :meth:`evaluate_many`)."""
         return self._call_many(
             [("answers", query, k) for query in queries], timeout
         )
@@ -757,29 +751,19 @@ class ServerPool:
                 ) from None
 
     def _purge(self, future: Future) -> None:
-        """Drop a timed-out future from pending/buffers and count it.
+        """Drop a timed-out future's in-flight entry and count it.
 
         The future is resolved *outside* the lock: its done-callbacks
         (inflight gauge, shard-load admission counter) re-acquire it.
         """
         with self._lock:
-            found = False
             for request_id, entry in list(self._pending.items()):
                 if future in entry.futures:
-                    found = True
                     if all(f.done() or f is future for f in entry.futures):
                         # Last caller gone: the reply (if it ever
-                        # comes) has nobody to serve — drop the slot
-                        # so it can't linger as a stale coalescing
-                        # target.
+                        # comes) has nobody to serve — drop the slot.
                         del self._pending[request_id]
                     break
-            if not found:
-                for buffered in self._buffers:
-                    for item in list(buffered):
-                        if item.future is future:
-                            buffered.remove(item)
-                            break
             self._timeouts += 1
         if not future.done():
             future.set_exception(
@@ -889,11 +873,18 @@ class ServerPool:
                 futures.append(None)
                 continue
             future = Future()
-            request_id = next(self._ids)
-            self._pending[request_id] = _Inflight(op, [future], shard)
-            queue.put((op, request_id, None))
+            self._put_locked(_Inflight(op, [future], shard))
             futures.append(future)
         return futures
+
+    def _put_locked(self, entry: _Inflight) -> None:
+        """Queue ``entry`` on its shard's worker as a new request id."""
+        request_id = next(self._ids)
+        entry.queued = time.time()
+        self._pending[request_id] = entry
+        self._request_queues[entry.shard].put(
+            (entry.op, request_id, entry.payload)
+        )
 
     def health(self) -> dict:
         """Liveness report: overall ``ok`` plus per-shard worker status.
@@ -985,7 +976,7 @@ class ServerPool:
         self.close()
 
     # ------------------------------------------------------------------
-    # Batching front internals
+    # Admission and dispatch
     # ------------------------------------------------------------------
 
     def _parse(self, query: QueryLike) -> AnyQuery:
@@ -1003,27 +994,27 @@ class ServerPool:
         items: Sequence[Tuple[str, QueryLike, Optional[int]]],
         timeout: Optional[float] = None,
     ) -> List[Future]:
-        """Buffer a whole batch, then drive each touched shard once.
+        """Admit a whole call and queue it in the same lock hold.
 
-        Buffering before dispatch is what makes single-caller batches
-        coalesce: all same-shard items ride one worker message (and one
-        circuit sweep) instead of one round trip each.  Items from
-        other threads that land in a touched buffer meanwhile are
-        flushed by whichever driver reaches them first.  Items whose
-        shard is over ``max_queue_depth`` are shed immediately; items
-        with no live shard (every item when ``workers == 0``, or one
-        whose shard is degraded) are served on the front session.
+        Each shard gets at most one ``evaluate_many`` and one
+        ``answers_many`` message per call, so the call's same-shard
+        items ride one worker message (and one circuit sweep) instead
+        of one round trip each.  Items whose shard is over
+        ``max_queue_depth`` are shed immediately; items with no live
+        shard (every item when ``workers == 0``, or one whose shard is
+        degraded) are served on the front session.
         """
         parsed = [
             (kind, self._parse(query), k) for kind, query, k in items
         ]
         deadline = time.time() + timeout if timeout is not None else None
         futures: List[Future] = []
-        to_drive = []
         front: List[Tuple[str, AnyQuery, Optional[int], Future]] = []
+        messages: Dict[Tuple[int, str], _Inflight] = {}
         with self._lock:
             self._check_open()
             self._ensure_synced_locked()
+            self._check_overload_locked()
             for kind, query, k in parsed:
                 future = Future()
                 futures.append(future)
@@ -1060,18 +1051,23 @@ class ServerPool:
                 future.add_done_callback(
                     lambda f, shard=shard: self._request_done(f, shard)
                 )
-                self._buffers[shard].append(
-                    _PendingItem(
-                        kind, query, k, future, time.perf_counter(), deadline
-                    )
+                op = f"{kind}_many"
+                entry = messages.setdefault(
+                    (shard, op), _Inflight(op, [], shard, ([], deadline))
                 )
-                if not self._driving[shard]:
-                    self._driving[shard] = True
-                    to_drive.append(shard)
+                entry.futures.append(future)
+                entry.payload[0].append(
+                    query if kind == "evaluate" else (query, k)
+                )
+            for entry in messages.values():
+                size = len(entry.futures)
+                self._batches += 1
+                if size > 1:
+                    self._coalesced += size
+                self._metric_batch_size.observe(size)
+                self._put_locked(entry)
         for kind, query, k, future in front:
             self._serve_front(kind, query, k, future)
-        for shard in to_drive:
-            self._drive(shard)
         return futures
 
     def _front_session(self) -> QuerySession:
@@ -1092,7 +1088,7 @@ class ServerPool:
         self, kind: str, query: AnyQuery, k: Optional[int],
         future: Future,
     ) -> None:
-        """Answer one request on the front session (no coalescing)."""
+        """Answer one request on the front session."""
         with self._lock:
             self._batches += 1
         self._metric_batch_size.observe(1)
@@ -1110,22 +1106,6 @@ class ServerPool:
             if not future.done():
                 future.set_result(result)
 
-    def _drive(self, shard: int) -> None:
-        """Flush the shard's buffer until it runs dry.
-
-        Exactly one thread drives a shard at a time; it re-checks the
-        buffer after every flush so requests parked by other threads
-        while it was dispatching ride the next message.
-        """
-        while True:
-            with self._lock:
-                batch = self._buffers[shard]
-                if not batch:
-                    self._driving[shard] = False
-                    return
-                self._buffers[shard] = []
-            self._dispatch(shard, batch)
-
     def _request_done(
         self, _future: Future, shard: Optional[int] = None
     ) -> None:
@@ -1134,86 +1114,12 @@ class ServerPool:
             with self._lock:
                 self._shard_load[shard] -= 1
 
-    def _dispatch(self, shard: int, batch: List[_PendingItem]) -> None:
-        now = time.perf_counter()
-        waits = [now - item.enqueued for item in batch]
-        for wait in waits:
-            self._metric_queue_wait.observe(wait)
-        self._metric_batch_size.observe(len(batch))
-        wall_now = time.time()
-        expired = [
-            item for item in batch
-            if item.deadline is not None and wall_now > item.deadline
-        ]
-        batch = [item for item in batch if item not in expired]
-        for item in expired:
-            # Expired while parked: shed the compute, honest timeout.
-            with self._lock:
-                self._timeouts += 1
-            self._metric_timeouts.inc()
-            if not item.future.done():
-                item.future.set_exception(
-                    PoolTimeoutError("deadline expired in shard buffer")
-                )
-        evaluates = [item for item in batch if item.kind == "evaluate"]
-        answers = [item for item in batch if item.kind == "answers"]
-        error = None
-        front_items: List[_PendingItem] = []
-        with self._lock:
-            for wait in waits:
-                self._wait_ewma.observe(wait)
-            self._check_overload_locked()
-            # Re-check under the lock: the pool may have closed (the
-            # STOP message is already queued) since this batch was
-            # submitted — enqueueing now would strand these futures
-            # with no reply ever coming.  (A dead worker is fine: the
-            # supervisor sweeps _pending and re-dispatches.)
-            if self._closed:
-                error = RuntimeError("ServerPool is closed")
-            elif self._request_queues[shard] is None:
-                # Degraded while this batch was parked: the supervisor
-                # swept the buffer before we popped it, or raced us —
-                # serve the batch on the front session instead.
-                front_items = evaluates + answers
-            else:
-                for kind, items in (
-                    ("evaluate", evaluates), ("answers", answers)
-                ):
-                    if not items:
-                        continue
-                    if len(items) > 1:
-                        self._coalesced += len(items)
-                    deadlines = [item.deadline for item in items]
-                    deadline = (
-                        None if any(d is None for d in deadlines)
-                        else max(deadlines)
-                    )
-                    request_id = next(self._ids)
-                    if kind == "evaluate":
-                        op = "evaluate_many"
-                        payload = ([item.query for item in items], deadline)
-                    else:
-                        op = "answers_many"
-                        payload = (
-                            [(item.query, item.k) for item in items],
-                            deadline,
-                        )
-                    self._pending[request_id] = _Inflight(
-                        op, [i.future for i in items], shard, payload
-                    )
-                    self._batches += 1
-                    self._request_queues[shard].put((op, request_id, payload))
-        if error is not None:
-            for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(error)
-        for item in front_items:
-            self._serve_front(item.kind, item.query, item.k, item.future)
-
     def _check_overload_locked(self) -> None:
         """Enter/leave overload mode from the queue-wait EWMA.
 
-        Entering clamps every worker's Monte Carlo budget through the
+        The collector feeds the EWMA; admission checks it here, before
+        it queues the call.  Entering clamps every worker's Monte Carlo
+        budget through the
         fire-and-forget ``configure`` op — wider intervals for unsafe
         queries instead of a growing queue; leaving (at half the
         threshold, for hysteresis) restores the configured budget.
@@ -1326,8 +1232,6 @@ class ServerPool:
                 for request_id, entry in list(self._pending.items())
                 if entry.shard == shard
             ]
-            buffered = self._buffers[shard]
-            self._buffers[shard] = []
             self._detach_reader_locked(shard)
             self._request_queues[shard].close()
             queue = None
@@ -1336,7 +1240,7 @@ class ServerPool:
                 self._metric_degraded.set(sum(self._degraded))
             else:
                 snapshot = self.db.snapshot()
-                queue = self._ctx.Queue()
+                queue = _SPAWN.Queue()
                 if self._overloaded:
                     # The clamp is a queued message, not part of the
                     # snapshot: replay it first.
@@ -1357,11 +1261,10 @@ class ServerPool:
                     return
                 self._processes[shard] = process
                 self._reply_readers[shard] = reader
-        self._resolve_swept(shard, swept, buffered, queue)
+        self._resolve_swept(shard, swept, respawned=queue is not None)
 
     def _resolve_swept(
-        self, shard: int, swept: List[_Inflight],
-        buffered: List[_PendingItem], queue,
+        self, shard: int, swept: List[_Inflight], respawned: bool
     ) -> None:
         """Give every orphaned request a second life (or an honest end).
 
@@ -1379,14 +1282,12 @@ class ServerPool:
                 if entry.op == _STOP:
                     continue
                 if (
-                    queue is not None
+                    respawned
                     and entry.op in redispatch_ops
                     and not entry.retried
                 ):
                     entry.retried = True
-                    request_id = next(self._ids)
-                    self._pending[request_id] = entry
-                    queue.put((entry.op, request_id, entry.payload))
+                    self._put_locked(entry)
                     continue
                 if entry.op in _BATCH_OPS:
                     front_batches.append(entry)
@@ -1404,20 +1305,6 @@ class ServerPool:
                     future.set_exception(error)
         for entry in front_batches:
             self._serve_swept_inline(entry.op, entry.payload, entry.futures)
-        # Buffered (never-dispatched) items re-enter the normal path:
-        # onto the fresh worker, or the front session if degraded.
-        if queue is not None:
-            if buffered:
-                with self._lock:
-                    self._buffers[shard] = buffered + self._buffers[shard]
-                    drive = not self._driving[shard]
-                    if drive:
-                        self._driving[shard] = True
-                if drive:
-                    self._drive(shard)
-        else:
-            for item in buffered:
-                self._serve_front(item.kind, item.query, item.k, item.future)
 
     def _serve_swept_inline(self, op, payload, futures: List[Future]) -> None:
         """Answer an orphaned worker batch on the front session."""
@@ -1482,14 +1369,22 @@ class ServerPool:
             self._detached_readers.append(reader)
 
     def _route_reply(self, message) -> None:
-        request_id, ok, payload = message
+        request_id, ok, payload, taken = message
         with self._lock:
             entry = self._pending.pop(request_id, None)
-            if entry is not None and not ok and payload.kind == "timeout":
+            if entry is None:
+                return  # purged on timeout, or swept by the supervisor
+            # One queue wait per request a batch carries; probes are
+            # not requests.
+            requests = len(entry.futures) if entry.op in _BATCH_OPS else 0
+            wait = max(0.0, taken - entry.queued)
+            for _ in range(requests):
+                self._wait_ewma.observe(wait)
+            if not ok and payload.kind == "timeout":
                 self._timeouts += 1
                 self._metric_timeouts.inc()
-        if entry is None:
-            return  # purged on timeout, or swept by the supervisor
+        for _ in range(requests):
+            self._metric_queue_wait.observe(wait)
         if not ok:
             payload = [payload] * len(entry.futures)
         elif entry.op not in _BATCH_OPS:

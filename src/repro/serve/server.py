@@ -3,9 +3,10 @@
 Zero dependencies beyond the standard library: a minimal HTTP/1.1
 parser over :func:`asyncio.start_server`, JSON request and response
 bodies, and the pool's blocking calls pushed onto the default executor
-so the event loop keeps accepting while workers grind.  Concurrent
-handlers therefore land in the pool's batching front together, where
-same-shape requests coalesce into shared circuit sweeps.
+so the event loop keeps accepting while workers grind.  Each request
+is one pool call: a ``/batch`` body's same-shard queries share one
+worker message and circuit sweep, while concurrent requests travel in
+their own messages.
 
 Routes (all bodies JSON):
 

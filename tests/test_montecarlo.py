@@ -134,6 +134,21 @@ class TestSampleBudget:
         with pytest.raises(ValueError, match="samples"):
             naive_estimate(ground_lineage(q, db), 0, random.Random(1), backend)
 
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_naive_estimate_of_a_certainly_true_lineage(self, backend):
+        # An empty clause holds in every world, and the lineage keeps
+        # no clause for a sampled world to satisfy.
+        import random
+
+        from repro.lineage import make_lineage
+
+        certain = make_lineage([[]], {})
+        assert certain.certainly_true
+        assert naive_estimate(
+            certain, 1000, random.Random(1), backend
+        ) == 1.0
+        assert estimate_lineage(certain, 1000, 1, backend) == (1.0, 0.0)
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     @pytest.mark.parametrize("command", ["evaluate", "answers", "serve"])
     def test_cli_samples_flag_rejects_budget_below_one(

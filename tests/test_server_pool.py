@@ -195,8 +195,8 @@ class TestBatchIsolation:
     def test_a_bad_query_fails_only_its_own_future(
         self, workers, bad, message
     ):
-        # Same-shard requests ride one worker message (with one worker,
-        # all of them do) — also when concurrent HTTP callers send them.
+        # One call's same-shard items ride one worker message (with one
+        # worker, all of them do), as a `/batch` body's queries do.
         # The bad item must not take its batch-mates down with it.
         db = small_db()
         router = RouterEngine(exact_fallback=True)
@@ -423,6 +423,47 @@ class TestOverload:
                 (1, []) if respawn_limit else (0, [0])
             )
             assert samples_per_read(0.45) == 500
+        finally:
+            pool.close()
+
+    def test_a_worker_backlog_enters_overload(self):
+        # Requests wait on the worker's queue, behind each other's
+        # messages.  With every message slowed by 40 ms and six callers,
+        # that backlog is the queue wait the pool records, and it
+        # switches overload mode on.
+        pool = ServerPool(
+            small_db(), workers=1,
+            config=SessionConfig(
+                exact_fallback=True, faults="seed=1,slow=1.0,slow_ms=40"
+            ),
+            overload_threshold=0.02, request_timeout=120,
+        )
+        values, errors = [], []
+
+        def call():
+            try:
+                for _ in range(3):
+                    values.append(pool.evaluate("R(x)"))
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=call) for _ in range(6)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert values == pytest.approx([0.8] * 18, abs=1e-9)
+            snapshot = pool.metrics_snapshot()
+            wait = snapshot["repro_pool_queue_wait_seconds"]["values"][()]
+            assert wait["count"] == 18
+            assert wait["sum"] / wait["count"] > 0.02
+            transitions = snapshot[
+                "repro_pool_overload_transitions_total"
+            ]["values"]
+            assert transitions.get(("enter",), 0) >= 1
         finally:
             pool.close()
 

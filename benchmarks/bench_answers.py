@@ -29,11 +29,12 @@ from repro.core import parse
 from repro.db.database import ProbabilisticDatabase
 from repro.engines import (
     CompiledEngine,
-    Engine,
     LineageEngine,
     MonteCarloEngine,
     SafePlanEngine,
+    rank_answers,
 )
+from repro.lineage.grounding import answer_tuples
 
 STAR = parse("Q(x) :- R(x), S(x,y)")
 RING = parse("Q(x) :- R(x), S(x,y), S(y,x)")
@@ -76,7 +77,10 @@ def ring_db(answers, fanout, seed=0, separated=False):
 def naive_answers(engine, query, db):
     """The pre-refactor loop: shared answer enumeration, then one
     fully independent Boolean evaluation per residual query."""
-    return Engine.answers(engine, query, db)
+    return rank_answers([
+        (answer, engine.probability(query.bind_head(answer), db))
+        for answer in answer_tuples(query, db)
+    ])
 
 
 def _assert_same(shared, naive):

@@ -28,6 +28,7 @@ import argparse
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.compile import compile_dnnf, compile_obdd
@@ -146,8 +147,6 @@ def batched_reweighting(fanout=100, batch=64):
     ``probability_batch`` walks it once total, with numpy vectors as
     node values.  Also cross-checks the two evaluations agree.
     """
-    import numpy as np
-
     db = _hier_db(fanout)
     lineage = ground_lineage(HIER, db)
     compiled = compile_obdd(lineage, "hierarchy", HIER)
@@ -175,7 +174,6 @@ def batched_reweighting(fanout=100, batch=64):
 
 @pytest.mark.bench_table("E8")
 def test_batched_reweighting_beats_per_row(report):
-    np = pytest.importorskip("numpy")  # noqa: F841 - availability gate
     t_rows, t_batch = batched_reweighting()
     ratio = t_rows / max(t_batch, 1e-9)
     report.append(
@@ -213,16 +211,12 @@ def main(argv=None):
     if not args.smoke and ratio < 10.0:
         print("FAIL: re-weighting sweep below the 10x bar", file=sys.stderr)
         return 1
-    try:
-        t_rows, t_batch = batched_reweighting(20 if args.smoke else 100)
-    except ImportError:
-        print("batched re-weighting: skipped (numpy unavailable)")
-    else:
-        print(
-            f"64-row re-weighting: per-row {t_rows * 1e3:.2f} ms vs "
-            f"batched {t_batch * 1e3:.2f} ms -> "
-            f"{t_rows / max(t_batch, 1e-9):.1f}x"
-        )
+    t_rows, t_batch = batched_reweighting(20 if args.smoke else 100)
+    print(
+        f"64-row re-weighting: per-row {t_rows * 1e3:.2f} ms vs "
+        f"batched {t_batch * 1e3:.2f} ms -> "
+        f"{t_rows / max(t_batch, 1e-9):.1f}x"
+    )
     print("ok")
     return 0
 

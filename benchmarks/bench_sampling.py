@@ -1,21 +1,17 @@
-"""S1 — the vectorized sampling core vs the scalar Monte Carlo backends.
+"""S1 — throughput of the vectorized Monte Carlo sampler.
 
 The paper's headline contrast is "safe plans in seconds, simulation in
 minutes"; this benchmark pins how fast the simulation side now runs.
 Both estimators (naive world sampling and Karp–Luby) are measured in
-samples/second under the scalar ``backend="python"`` loops and the
-vectorized ``backend="numpy"`` bit-matrix core, on synthetic DNF
-lineages in the small-probability regime that Karp–Luby exists for.
+samples/second on the bit-matrix core, on synthetic DNF lineages in
+the small-probability regime that Karp–Luby exists for.
 
-Emits ``BENCH_sampling.json`` — the first point of the repository's
-performance trajectory: per-backend throughput rows plus the
-vectorized/scalar speedup ratios.
+Emits ``BENCH_sampling.json``: one throughput row per estimator plus
+an agreement check against exact WMC.
 
-The headline assertion: on a 500-clause lineage, vectorized Karp–Luby
-is **≥10× samples/sec** over the scalar backend (naive sampling gains
-even more, typically 30×+).  The full run also asserts the numpy
-backend is **≥1.3×** the karp-luby/numpy rate recorded before its
-kernel was first reworked (``PREVIOUS_KARP_LUBY_RATE``).
+The headline assertion: on a 500-clause lineage, Karp–Luby runs at
+**≥1.3×** the samples/sec this benchmark recorded before its kernel
+was first reworked (``PREVIOUS_KARP_LUBY_RATE``).
 
 Runs standalone for the CI smoke: ``python benchmarks/bench_sampling.py
 --smoke`` (tiny sample counts, correctness cross-check only, no timing
@@ -31,13 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.engines.montecarlo import (
-    KarpLubySampler,
-    naive_estimate,
-    resolve_backend,
-)
+from repro.engines.montecarlo import KarpLubySampler, naive_estimate
 from repro.lineage.boolean import make_lineage
-from repro.lineage.packed import HAVE_NUMPY
 from repro.lineage.wmc import exact_probability
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_sampling.json"
@@ -48,11 +39,11 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_sampling.json"
 HEADLINE = dict(n_events=250, n_clauses=500, clause_len=3,
                 low=0.005, high=0.08, seed=42)
 #: Small instance where the exact WMC oracle is cheap — used for the
-#: statistical cross-check of every (estimator, backend) pair.
+#: statistical cross-check of both estimators.
 CHECK = dict(n_events=30, n_clauses=40, clause_len=3,
              low=0.05, high=0.4, seed=7)
-#: The karp-luby/numpy samples/s this benchmark recorded before the
-#: numpy kernel was first reworked — the ≥1.3× bar's denominator.
+#: The Karp–Luby samples/s this benchmark recorded before the
+#: vectorized kernel was first reworked — the ≥1.3× bar's denominator.
 PREVIOUS_KARP_LUBY_RATE = 332_324
 
 
@@ -89,72 +80,52 @@ def _best_rate(run, samples, repeats=3):
     return samples / best, best
 
 
-def measure(lineage, samples_by_backend, repeats=3):
-    """Throughput rows + speedups for both estimators on one lineage."""
+def measure(lineage, samples, repeats=3):
+    """One throughput row per estimator on one lineage."""
+
+    def run_karp_luby(attempt):
+        KarpLubySampler(lineage, random.Random(1 + attempt)).extend(samples)
+
+    def run_naive(attempt):
+        naive_estimate(lineage, samples, random.Random(1 + attempt))
+
     rows = []
-    rates = {}
-    backends = ["python"]
-    if HAVE_NUMPY:
-        backends.append("numpy")
-    for backend in backends:
-        samples = samples_by_backend[backend]
-
-        def run_karp_luby(attempt):
-            sampler = KarpLubySampler(
-                lineage, random.Random(1 + attempt), backend
-            )
-            sampler.extend(samples)
-
-        def run_naive(attempt):
-            naive_estimate(lineage, samples, random.Random(1 + attempt), backend)
-
-        for estimator, run in (
-            ("karp-luby", run_karp_luby), ("naive", run_naive)
-        ):
-            rate, seconds = _best_rate(run, samples, repeats)
-            rates[(estimator, backend)] = rate
-            rows.append({
-                "estimator": estimator,
-                "backend": backend,
-                "samples": samples,
-                "seconds": round(seconds, 6),
-                "samples_per_sec": round(rate),
-            })
-    speedups = {}
-    for estimator in ("karp-luby", "naive"):
-        if (estimator, "numpy") in rates:
-            speedups[estimator] = round(
-                rates[(estimator, "numpy")] / rates[(estimator, "python")], 2
-            )
-    return rows, speedups
-
-
-def agreement_rows(samples=30_000):
-    """Both backends vs the exact oracle on the small check lineage."""
-    lineage = synthetic_lineage(**CHECK)
-    exact = exact_probability(lineage)
-    rows = []
-    for backend in ("python", "numpy"):
-        if backend == "numpy" and not HAVE_NUMPY:
-            continue
-        sampler = KarpLubySampler(lineage, random.Random(11), backend)
-        sampler.extend(samples)
-        estimate, half_width = sampler.interval()
-        naive = naive_estimate(lineage, samples, random.Random(11), backend)
-        assert abs(estimate - exact) <= max(4 * half_width, 0.02), (
-            f"karp-luby[{backend}] {estimate} vs exact {exact}"
-        )
-        assert abs(naive - exact) <= 0.02, (
-            f"naive[{backend}] {naive} vs exact {exact}"
-        )
+    for estimator, run in (("karp-luby", run_karp_luby), ("naive", run_naive)):
+        rate, seconds = _best_rate(run, samples, repeats)
         rows.append({
-            "backend": backend,
-            "exact": round(exact, 6),
-            "karp_luby": round(estimate, 6),
-            "half_width": round(half_width, 6),
-            "naive": round(naive, 6),
+            "estimator": estimator,
+            "samples": samples,
+            "seconds": round(seconds, 6),
+            "samples_per_sec": round(rate),
         })
     return rows
+
+
+def karp_luby_rate(rows):
+    return next(
+        row["samples_per_sec"] for row in rows
+        if row["estimator"] == "karp-luby"
+    )
+
+
+def agreement(samples=30_000):
+    """Both estimators vs the exact oracle on the small check lineage."""
+    lineage = synthetic_lineage(**CHECK)
+    exact = exact_probability(lineage)
+    sampler = KarpLubySampler(lineage, random.Random(11))
+    sampler.extend(samples)
+    estimate, half_width = sampler.interval()
+    naive = naive_estimate(lineage, samples, random.Random(11))
+    assert abs(estimate - exact) <= max(4 * half_width, 0.02), (
+        f"karp-luby {estimate} vs exact {exact}"
+    )
+    assert abs(naive - exact) <= 0.02, f"naive {naive} vs exact {exact}"
+    return {
+        "exact": round(exact, 6),
+        "karp_luby": round(estimate, 6),
+        "half_width": round(half_width, 6),
+        "naive": round(naive, 6),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -163,34 +134,24 @@ def agreement_rows(samples=30_000):
 
 
 @pytest.mark.bench_table("S1")
-def test_vectorized_karp_luby_at_least_10x(report):
-    if not HAVE_NUMPY:
-        pytest.skip("numpy unavailable")
-    lineage = synthetic_lineage(**HEADLINE)
-    rows, speedups = measure(
-        lineage, {"python": 2_000, "numpy": 400_000}
-    )
+def test_karp_luby_at_least_1_3x_previous_rate(report):
+    rows = measure(synthetic_lineage(**HEADLINE), 400_000)
     for row in rows:
         report.append(
-            f"S1  {row['estimator']:9s} {row['backend']:6s} "
+            f"S1  {row['estimator']:9s} "
             f"{row['samples_per_sec']:>12,d} samples/s"
         )
-    report.append(
-        f"S1  speedups: karp-luby {speedups['karp-luby']}x, "
-        f"naive {speedups['naive']}x"
-    )
-    assert speedups["karp-luby"] >= 10.0
-    assert speedups["naive"] >= 10.0
+    assert karp_luby_rate(rows) >= 1.3 * PREVIOUS_KARP_LUBY_RATE
 
 
 @pytest.mark.bench_table("S1")
-def test_backends_agree_with_exact(report):
-    for row in agreement_rows():
-        report.append(
-            f"S1  agreement {row['backend']:6s} exact={row['exact']:.4f} "
-            f"kl={row['karp_luby']:.4f}±{row['half_width']:.4f} "
-            f"naive={row['naive']:.4f}"
-        )
+def test_estimators_agree_with_exact(report):
+    row = agreement()
+    report.append(
+        f"S1  agreement exact={row['exact']:.4f} "
+        f"kl={row['karp_luby']:.4f}±{row['half_width']:.4f} "
+        f"naive={row['naive']:.4f}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -211,52 +172,36 @@ def main(argv=None):
     args = parser.parse_args(argv)
     lineage = synthetic_lineage(**HEADLINE)
     if args.smoke:
-        samples = {"python": 500, "numpy": 5_000}
-        repeats = 1
+        rows = measure(lineage, 5_000, repeats=1)
     else:
-        samples = {"python": 2_000, "numpy": 400_000}
-        repeats = 3
-    rows, speedups = measure(lineage, samples, repeats)
+        rows = measure(lineage, 400_000, repeats=3)
     for row in rows:
         print(
-            f"{row['estimator']:9s} {row['backend']:6s} "
+            f"{row['estimator']:9s} "
             f"{row['samples_per_sec']:>12,d} samples/s "
             f"({row['samples']} samples in {row['seconds'] * 1e3:.1f} ms)"
         )
-    for estimator, ratio in speedups.items():
-        print(f"{estimator}: vectorized {ratio}x scalar")
-    agreement = agreement_rows(samples=5_000 if args.smoke else 30_000)
-    for row in agreement:
-        print(
-            f"agreement {row['backend']:6s}: exact={row['exact']:.4f} "
-            f"kl={row['karp_luby']:.4f}±{row['half_width']:.4f} "
-            f"naive={row['naive']:.4f}"
-        )
+    check = agreement(samples=5_000 if args.smoke else 30_000)
+    print(
+        f"agreement: exact={check['exact']:.4f} "
+        f"kl={check['karp_luby']:.4f}±{check['half_width']:.4f} "
+        f"naive={check['naive']:.4f}"
+    )
     payload = {
         "benchmark": "sampling",
         "smoke": args.smoke,
-        "numpy": HAVE_NUMPY,
-        "default_backend": resolve_backend("auto"),
         "lineage": {
             "clauses": lineage.clause_count(),
             "events": lineage.variable_count,
             "literals": lineage.literal_count(),
         },
         "rows": rows,
-        "speedup": speedups,
-        "agreement": agreement,
+        "agreement": check,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
-    if not args.smoke and HAVE_NUMPY and speedups.get("karp-luby", 0) < 10.0:
-        print("FAIL: vectorized Karp-Luby below the 10x bar", file=sys.stderr)
-        return 1
-    if not args.smoke and HAVE_NUMPY:
-        headline_rate = next(
-            row["samples_per_sec"] for row in rows
-            if row["estimator"] == "karp-luby"
-            and row["backend"] == resolve_backend("auto")
-        )
+    if not args.smoke:
+        headline_rate = karp_luby_rate(rows)
         if headline_rate < 1.3 * PREVIOUS_KARP_LUBY_RATE:
             print(
                 f"FAIL: karp-luby {headline_rate:,d} samples/s < 1.3x the "

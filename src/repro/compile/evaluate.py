@@ -23,10 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
 
-try:  # pragma: no cover - exercised by whichever env runs the suite
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from .circuit import AND, CONST, LIT, NOT, OR, Circuit, NodeId
 
@@ -82,8 +79,6 @@ def probability_batch(
     vectors as node values — the batch dimension rides along every
     product/sum for free instead of re-walking the circuit per row.
     """
-    if np is None:
-        raise RuntimeError("probability_batch requires numpy")
     weights = np.asarray(weights, dtype=np.float64)
     column = {event: j for j, event in enumerate(events)}
     batch = weights.shape[0]
@@ -124,13 +119,12 @@ def reweighted_probabilities(
     serving layer (same-shape queries across a batch, probability-only
     refreshes): ``artifact`` is a compiled OBDD/d-DNNF, ``events`` its
     variable order, and each row of ``rows`` one weight vector aligned
-    with ``events``.  With numpy and more than one row the whole batch
-    is one vectorized bottom-up sweep (``probability_batch``);
-    otherwise it falls back to a linear pass per row.
+    with ``events``.  More than one row is one vectorized bottom-up
+    sweep (``probability_batch``); a single row is one scalar pass.
     """
     if not rows:
         return []
-    if np is not None and len(rows) > 1:
+    if len(rows) > 1:
         values = artifact.probability_batch(
             events, np.asarray(rows, dtype=np.float64)
         )

@@ -19,10 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-try:  # pragma: no cover - exercised by whichever env runs the suite
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..core.query import ConjunctiveQuery
 from ..db.database import TupleKey
@@ -254,8 +251,6 @@ class OBDD:
         ``w·P(high) + (1−w)·P(low)`` runs once per node with numpy
         vectors, so the whole batch costs one bottom-up pass.
         """
-        if np is None:
-            raise RuntimeError("probability_batch requires numpy")
         weights = np.asarray(weights, dtype=np.float64)
         batch = weights.shape[0]
         column = {event: j for j, event in enumerate(events)}

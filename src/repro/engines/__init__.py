@@ -23,7 +23,6 @@ from .montecarlo import (
     MonteCarloEngine,
     estimate_lineage,
     naive_estimate,
-    resolve_backend,
 )
 from .router import RouterEngine, RoutingDecision
 from .safe_plan import SafePlanEngine, generic_residual
@@ -53,5 +52,4 @@ __all__ = [
     "naive_estimate",
     "queries_independent",
     "rank_answers",
-    "resolve_backend",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import abc
 from typing import List, Optional, Tuple
 
-from ..core.query import ConjunctiveQuery
 from ..core.union import AnyQuery
 from ..db.database import GroundTuple, ProbabilisticDatabase
 from ..db.relation import canonical_row_key
@@ -117,12 +116,10 @@ class Engine(abc.ABC):
         """The answer tuples of ``query``, ranked by probability.
 
         A Boolean query yields the single answer ``()`` with ``p(q)``.
-        This body, for engines whose core is :meth:`probability`,
-        enumerates candidate answers with one shared grounding pass,
-        then evaluates each *residual* Boolean query (head variables
-        bound to the answer's constants) through :meth:`probability`;
-        engines override it with shared-work plans, and those that
-        override :meth:`probability` call it for a Boolean query.
+        Every engine overrides this with its own plan for an
+        answer-tuple query; this body serves a Boolean query only, for
+        the engines whose core is :meth:`probability` (safe plan,
+        lifted, brute force), which call it through ``super()``.
 
         Args:
             query: Boolean or answer-tuple conjunctive query (an
@@ -155,15 +152,7 @@ class Engine(abc.ABC):
             >>> RouterEngine().answers(parse("Q(x) :- R(x), S(x,y)"), db, k=1)
             [((2,), 0.7200000000000001)]
         """
-        if query.head is None:
-            return rank_answers([((), self.probability(query, db))], k)
-        from ..lineage.grounding import answer_tuples
-
-        results = [
-            (answer, self.probability(query.bind_head(answer), db))
-            for answer in answer_tuples(query, db)
-        ]
-        return rank_answers(results, k)
+        return rank_answers([((), self.probability(query, db))], k)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

@@ -13,20 +13,15 @@ The paper's introduction motivates the dichotomy with exactly this
 trade-off: safe plans answer in seconds, simulation in minutes — one
 to two orders of magnitude apart for comparable accuracy.
 
-The estimators come in two backends:
-
-* ``"numpy"`` — the vectorized core: worlds are columns of an
-  ``(n_events, batch)`` bit matrix over the
-  :class:`~repro.lineage.packed.PackedLineage` structure, drawn by
-  comparing raw generator words against integer thresholds, and every
-  clause of every sample is evaluated on bit-packed worlds in one
-  padded gather + fold (see ``benchmarks/bench_sampling.py`` for the
-  measured speedup);
-* ``"python"`` — the original scalar loops, kept as the correctness
-  oracle and as the fallback when numpy is unavailable.
-
-``backend="auto"`` (the default everywhere) picks numpy when it is
-installed, python otherwise.
+Both estimators sample whole batches with numpy: worlds are columns
+of an ``(n_events, batch)`` bit matrix over the
+:class:`~repro.lineage.packed.PackedLineage` structure, drawn by
+comparing raw generator words against integer thresholds, and every
+clause of every sample is evaluated on bit-packed worlds in one padded
+gather + fold (``benchmarks/bench_sampling.py`` measures the rate).
+The scalar loops they replaced live on in
+``tests/test_sampling_parity.py`` as the reference the batched kernels
+are checked against.
 
 Every read is a *multisimulation* (:meth:`MonteCarloEngine.answers`):
 one incremental Karp–Luby sampler per answer, with sampling focused on
@@ -41,23 +36,18 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised by whichever env runs the suite
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..core.union import AnyQuery
-from ..db.database import GroundTuple, ProbabilisticDatabase, TupleKey
-from ..lineage.boolean import Clause, Lineage
+from ..db.database import GroundTuple, ProbabilisticDatabase
+from ..lineage.boolean import Lineage
 from ..lineage.grounding import ground_answer_lineages
-from ..lineage.packed import PackedLineage, clause_sort_key
+from ..lineage.packed import PackedLineage
 from ..lineage.planner import GroundingPlanner
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
 from .base import Answer, Engine, clamp01, rank_answers
-
-BACKENDS = ("auto", "numpy", "python")
 
 #: The estimator's label on ``repro_mc_samples_total``.
 METHOD = "karp-luby"
@@ -66,19 +56,6 @@ METHOD = "karp-luby"
 #: keeps the world/satisfaction matrices cache-friendly and bounds
 #: memory for huge sample requests.
 _BATCH_ELEMENTS = 1 << 22
-
-
-def resolve_backend(backend: str) -> str:
-    """Normalize a backend name, validating availability."""
-    if backend == "auto":
-        return "python" if np is None else "numpy"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown sampling backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "numpy" and np is None:
-        raise RuntimeError("numpy backend requested but numpy is unavailable")
-    return backend
 
 
 def _require_samples(samples: int) -> None:
@@ -105,14 +82,12 @@ class MonteCarloEngine(Engine):
         self,
         samples: int = 20_000,
         seed: Optional[int] = None,
-        backend: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
         planner: Optional[GroundingPlanner] = None,
     ) -> None:
         _require_samples(samples)
         self.samples = samples
         self.seed = seed
-        self.backend = resolve_backend(backend)
         self.planner = planner
         #: After ``answers``: per-answer (estimate, 95% half-width).
         self.last_intervals: Dict[GroundTuple, Tuple[float, float]] = {}
@@ -128,7 +103,7 @@ class MonteCarloEngine(Engine):
         )
         self._metric_batch = registry.histogram(
             "repro_mc_batch_size",
-            "Sample batch sizes handed to the sampling backend",
+            "Sample batch sizes handed to the sampler",
             buckets=(16, 64, 256, 1024, 4096, 16384, 65536),
         )
         self._metric_half_width = registry.gauge(
@@ -145,15 +120,14 @@ class MonteCarloEngine(Engine):
         """A clone of this engine with selected knobs overridden.
 
         Unlike rebuilding by hand with ``type(engine)(...)``, the clone
-        keeps *every* constructor argument — seed, backend, planner and
-        the metrics registry — so per-call overrides (the serving
+        keeps *every* constructor argument — seed, planner and the
+        metrics registry — so per-call overrides (the serving
         layer's ``samples=`` escape hatch) do not silently reset
         anything else.
         """
         return type(self)(
             samples=self.samples if samples is None else samples,
             seed=self.seed,
-            backend=self.backend,
             metrics=self._registry,
             planner=self.planner,
         )
@@ -166,7 +140,7 @@ class MonteCarloEngine(Engine):
         grounding again.
         """
         estimate, half_width = estimate_lineage(
-            lineage, self.samples, self.seed, self.backend
+            lineage, self.samples, self.seed
         )
         if not (lineage.certainly_true or lineage.is_false):
             self._metric_samples.labels(METHOD).inc(self.samples)
@@ -216,7 +190,7 @@ class MonteCarloEngine(Engine):
                 continue
             else:
                 samplers[answer] = KarpLubySampler(
-                    lineage, random.Random(rng.randrange(2**31)), self.backend
+                    lineage, random.Random(rng.randrange(2**31))
                 )
                 intervals[answer] = (0.0, 1.0)
         drawn = 0
@@ -299,46 +273,16 @@ class MonteCarloEngine(Engine):
 
 
 def naive_estimate(
-    lineage: Lineage,
-    samples: int,
-    rng: random.Random,
-    backend: str = "auto",
+    lineage: Lineage, samples: int, rng: random.Random
 ) -> float:
-    """Fraction of sampled worlds satisfying the DNF."""
+    """Fraction of sampled worlds satisfying the DNF.
+
+    All worlds of a batch at once: the OR of every clause's packed
+    satisfied bits marks the worlds where the DNF holds.
+    """
     _require_samples(samples)
     if lineage.certainly_true:
         return 1.0  # no clause to satisfy, yet every world does
-    if resolve_backend(backend) == "numpy":
-        return _naive_estimate_numpy(lineage, samples, rng)
-    return _naive_estimate_python(lineage, samples, rng)
-
-
-def _naive_estimate_python(
-    lineage: Lineage, samples: int, rng: random.Random
-) -> float:
-    events = sorted(lineage.events(), key=str)
-    weights = [lineage.weights[event] for event in events]
-    index = {event: i for i, event in enumerate(events)}
-    clauses = [
-        [(index[key], polarity) for key, polarity in clause]
-        for clause in lineage.clauses
-    ]
-    hits = 0
-    for _ in range(samples):
-        world = [rng.random() < w for w in weights]
-        if any(
-            all(world[i] == polarity for i, polarity in clause)
-            for clause in clauses
-        ):
-            hits += 1
-    return hits / samples
-
-
-def _naive_estimate_numpy(
-    lineage: Lineage, samples: int, rng: random.Random
-) -> float:
-    """All worlds of a batch at once: the OR of every clause's packed
-    satisfied bits marks the worlds where the DNF holds."""
     packed = PackedLineage.of(lineage)
     if packed.n_clauses == 0:
         return 0.0
@@ -366,92 +310,40 @@ class KarpLubySampler:
     from the binomial CLT (the indicator variable is Bernoulli with
     mean ``p / M``).
 
-    With the numpy backend, :meth:`extend` is fully batched: one CDF
-    ``searchsorted`` over the packed clause distribution picks all
-    trial clauses, one block of raw generator words draws all worlds,
-    one vectorized write forces each chosen clause true, and coverage
-    for the whole batch is one pass over bit-packed worlds (padded
-    literal fold, then a prefix OR down the clauses).
+    :meth:`extend` is fully batched: one CDF ``searchsorted`` over the
+    packed clause distribution picks all trial clauses, one block of
+    raw generator words draws all worlds, one vectorized write forces
+    each chosen clause true, and coverage for the whole batch is one
+    pass over bit-packed worlds (padded literal fold, then a prefix OR
+    down the clauses).
     """
 
-    __slots__ = (
-        "rng",
-        "backend",
-        "hits",
-        "drawn",
-        "total",
-        "weights",
-        "clauses",
-        "cumulative",
-        "packed",
-        "_np_rng",
-    )
+    __slots__ = ("hits", "drawn", "total", "packed", "_np_rng")
 
-    def __init__(
-        self,
-        lineage: Lineage,
-        rng: random.Random,
-        backend: str = "auto",
-    ) -> None:
-        self.rng = rng
-        self.backend = resolve_backend(backend)
+    def __init__(self, lineage: Lineage, rng: random.Random) -> None:
         self.hits = 0
         self.drawn = 0
-        if self.backend == "numpy":
-            self.packed = PackedLineage.of(lineage)
-            self.total = self.packed.total
-            # Derived from the scalar rng so one seed fixes the run.
-            self._np_rng = np.random.default_rng(rng.randrange(2**63))
-            return
-        self.weights = lineage.weights
-        self.clauses: List[Clause] = sorted(lineage.clauses, key=clause_sort_key)
-        probs = [_clause_probability(c, self.weights) for c in self.clauses]
-        self.total = sum(probs)
-        self.cumulative: List[float] = []
-        acc = 0.0
-        for prob in probs:
-            acc += prob
-            self.cumulative.append(acc)
+        self.packed = PackedLineage.of(lineage)
+        self.total = self.packed.total
+        # Derived from the per-answer rng so one seed fixes the run.
+        self._np_rng = np.random.default_rng(rng.randrange(2**63))
 
     def extend(self, samples: int) -> None:
         """Draw ``samples`` more Karp–Luby trials."""
-        if self.total == 0.0:
-            self.drawn += samples
-            return
-        if self.backend == "numpy":
-            self._extend_numpy(samples)
-        else:
-            self._extend_python(samples)
+        if self.total > 0.0:
+            packed = self.packed
+            for batch in _batches(samples, packed.batch_cost):
+                chosen, worlds = self._draw_batch(batch)
+                self.hits += packed.coverage_hits(worlds, chosen)
         self.drawn += samples
-
-    def _extend_python(self, samples: int) -> None:
-        for _ in range(samples):
-            pick = self.rng.random() * self.total
-            chosen = _bisect(self.cumulative, pick)
-            world: Dict[TupleKey, bool] = {
-                key: polarity for key, polarity in self.clauses[chosen]
-            }
-            for earlier in range(chosen):
-                if _clause_satisfied(
-                    self.clauses[earlier], world, self.weights, self.rng
-                ):
-                    break
-            else:
-                self.hits += 1
-
-    def _extend_numpy(self, samples: int) -> None:
-        packed = self.packed
-        for batch in _batches(samples, packed.batch_cost):
-            chosen, worlds = self._draw_batch(batch)
-            self.hits += packed.coverage_hits(worlds, chosen)
 
     def _draw_batch(self, batch: int):
         """One batch of (chosen clause ids, forced world matrix).
 
         Sampling every event up front and then overwriting the chosen
-        clause's literals is distributionally identical to the scalar
-        backend's lazy per-event draws: either way, events outside the
-        chosen clause are independent Bernoulli draws.
+        clause's literals is distributionally identical to drawing each
+        event lazily, one trial at a time: either way, events outside
+        the chosen clause are independent Bernoulli draws.
         """
         packed = self.packed
         chosen = packed.sample_clauses(self._np_rng, batch)
@@ -484,7 +376,6 @@ def estimate_lineage(
     lineage: Lineage,
     samples: int,
     seed: Optional[int] = None,
-    backend: str = "auto",
 ) -> Tuple[float, float]:
     """Karp–Luby estimate of an already-grounded lineage, plus a 95%
     half-width from the binomial CLT.
@@ -497,7 +388,7 @@ def estimate_lineage(
         return 1.0, 0.0
     if lineage.is_false:
         return 0.0, 0.0
-    sampler = KarpLubySampler(lineage, random.Random(seed), backend)
+    sampler = KarpLubySampler(lineage, random.Random(seed))
     if sampler.total == 0.0:
         return 0.0, 0.0
     sampler.extend(samples)
@@ -514,43 +405,3 @@ def _smoothed_sd(hits: int, drawn: int) -> float:
     ratio = (hits + 2) / adjusted
     return math.sqrt(ratio * (1.0 - ratio) / adjusted)
 
-
-# ----------------------------------------------------------------------
-# Internals
-# ----------------------------------------------------------------------
-
-
-def _clause_probability(clause: Clause, weights: Dict[TupleKey, float]) -> float:
-    result = 1.0
-    for key, polarity in clause:
-        weight = weights[key]
-        result *= weight if polarity else (1.0 - weight)
-    return result
-
-
-def _clause_satisfied(
-    clause: Clause,
-    world: Dict[TupleKey, bool],
-    weights: Dict[TupleKey, float],
-    rng: random.Random,
-) -> bool:
-    """Check satisfaction, lazily sampling still-unset events."""
-    for key, polarity in clause:
-        value = world.get(key)
-        if value is None:
-            value = rng.random() < weights[key]
-            world[key] = value
-        if value != polarity:
-            return False
-    return True
-
-
-def _bisect(cumulative: Sequence[float], target: float) -> int:
-    lo, hi = 0, len(cumulative) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cumulative[mid] < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

@@ -171,7 +171,6 @@ class RouterEngine(Engine):
         mc_samples: int = 20_000,
         mc_seed: Optional[int] = None,
         compile_budget: Optional[int] = 10_000,
-        mc_backend: str = "auto",
         circuit_cache: Optional[CircuitCache] = None,
         safety_cache: Optional[Dict[AnyQuery, bool]] = None,
         history_limit: Optional[int] = 10_000,
@@ -205,7 +204,7 @@ class RouterEngine(Engine):
             else None
         )
         self.monte_carlo = MonteCarloEngine(
-            samples=mc_samples, seed=mc_seed, backend=mc_backend,
+            samples=mc_samples, seed=mc_seed,
             metrics=self.metrics, planner=self.grounding_planner,
         )
         self.exact_fallback = exact_fallback

@@ -1,10 +1,10 @@
 """Dense numpy representation of a lineage DNF.
 
-The scalar estimators walk ``Dict[TupleKey, float]`` weight maps and
-frozenset clauses one literal at a time — fine for correctness, hopeless
-for throughput.  :class:`PackedLineage` interns the tuple events of a
-:class:`~repro.lineage.boolean.Lineage` to dense ``int32`` ids *once*
-and materializes
+A :class:`~repro.lineage.boolean.Lineage` keeps a
+``Dict[TupleKey, float]`` weight map and frozenset clauses, which a
+sampler could only walk one literal at a time.  :class:`PackedLineage`
+interns its tuple events to dense ``int32`` ids *once* and
+materializes
 
 * a weights vector aligned with the event ids, and the ``uint32``
   draw threshold of each event,
@@ -31,32 +31,25 @@ an order of magnitude slower.
 
 The packed form is built lazily and cached on the lineage, so repeated
 estimator calls (the multisimulation top-k loop) pay the interning
-cost once.  numpy is optional at import time; constructing a
-:class:`PackedLineage` without it raises, and callers fall back to the
-scalar backend.
+cost once.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-try:  # pragma: no cover - exercised by whichever env runs the suite
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..db.database import TupleKey
 from .boolean import Clause, Lineage
 
-HAVE_NUMPY = np is not None
-
 
 def clause_sort_key(clause: Clause) -> Tuple:
-    """Deterministic clause order shared by every sampling backend.
+    """Deterministic clause order of the packed clause rows.
 
     Karp–Luby's coverage indicator is "no *earlier* clause satisfied",
-    so the scalar and vectorized estimators must enumerate clauses
-    identically for their trials to be comparable draw-for-draw.
+    so the estimate of a seeded run depends on the clause order; sorting
+    by the literals' text makes it independent of set iteration order.
     """
     return tuple(sorted((str(key), polarity) for key, polarity in clause))
 
@@ -66,15 +59,13 @@ class PackedLineage:
 
     Build through :meth:`of` (which caches the packed form on the
     lineage) rather than the constructor.  All arrays are aligned with
-    :attr:`events`, the dense id order shared with the scalar backends.
+    :attr:`events`, the dense id order.
 
     Args:
         lineage: the DNF lineage to pack; its ``weights`` must cover
             every event its clauses mention.
 
     Raises:
-        RuntimeError: when numpy is unavailable (callers fall back to
-            the scalar backend; see ``HAVE_NUMPY``).
         KeyError: when a clause mentions an event absent from
             ``lineage.weights``.
 
@@ -114,12 +105,7 @@ class PackedLineage:
     )
 
     def __init__(self, lineage: Lineage) -> None:
-        if np is None:
-            raise RuntimeError(
-                "PackedLineage requires numpy; use the scalar backend"
-            )
-        #: Dense id -> tuple event, in the canonical string order the
-        #: scalar estimators already use.
+        #: Dense id -> tuple event, in canonical string order.
         self.events: List[TupleKey] = sorted(lineage.events(), key=str)
         self.event_index: Dict[TupleKey, int] = {
             event: i for i, event in enumerate(self.events)

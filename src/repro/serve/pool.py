@@ -158,14 +158,13 @@ class SessionConfig:
 
     Engines themselves do not cross process boundaries — each worker
     rebuilds its own stack from this config plus a database snapshot,
-    so every shard gets private caches and its own sampling backend.
+    so every shard gets private caches and its own sampler.
     """
 
     exact_fallback: bool = False
     mc_samples: int = 20_000
     mc_seed: Optional[int] = None
     compile_budget: Optional[int] = 10_000
-    mc_backend: str = "auto"
     max_prepared: int = 256
     #: When False, every worker gets a disabled (null) registry —
     #: the knob ``benchmarks/bench_obs.py`` uses to price telemetry.
@@ -198,7 +197,6 @@ class SessionConfig:
             mc_samples=self.mc_samples,
             mc_seed=self.mc_seed,
             compile_budget=self.compile_budget,
-            mc_backend=self.mc_backend,
             max_prepared=self.max_prepared,
             metrics=registry,
         )

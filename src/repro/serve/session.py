@@ -245,8 +245,8 @@ class QuerySession:
             the keywords could not take effect and silently dropping
             them would mask the caller's intent.
         max_prepared: LRU capacity of the prepared-query cache.
-        exact_fallback, mc_samples, mc_seed, compile_budget,
-        mc_backend: forwarded to the default router.
+        exact_fallback, mc_samples, mc_seed, compile_budget: forwarded
+            to the default router.
         metrics: a :class:`~repro.obs.MetricsRegistry` shared with the
             router it builds (stage timers, per-tier counters, Monte
             Carlo gauges all land in one registry, exposed as
@@ -297,7 +297,6 @@ class QuerySession:
         mc_samples=_UNSET,
         mc_seed=_UNSET,
         compile_budget=_UNSET,
-        mc_backend=_UNSET,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         slow_query_threshold: float = 0.25,
@@ -316,7 +315,6 @@ class QuerySession:
                 ("mc_samples", mc_samples),
                 ("mc_seed", mc_seed),
                 ("compile_budget", compile_budget),
-                ("mc_backend", mc_backend),
             )
             if value is not _UNSET
         }
@@ -452,8 +450,8 @@ class QuerySession:
         worker op) to degrade gracefully under load: fewer samples per
         unsafe query means wider intervals, not errors.  Uses
         :meth:`~repro.engines.montecarlo.MonteCarloEngine.reconfigured`
-        so the seed, backend, planner and metrics registry all survive
-        the swap.  Cached results are untouched — only fresh Monte
+        so the seed, planner and metrics registry all survive the
+        swap.  Cached results are untouched — only fresh Monte
         Carlo work runs at the new budget.
         """
         monte_carlo = self.router.monte_carlo

@@ -1,26 +1,28 @@
 """Parity and agreement tests for the vectorized sampling core.
 
-Three layers of evidence that ``backend="numpy"`` computes the same
-estimators as the scalar oracle:
+Three layers of evidence that the batched sampler computes the same
+estimators as the scalar loops kept below as the oracle
+(:class:`ScalarKarpLuby`, :func:`scalar_naive_estimate`):
 
 * **draw-for-draw parity** — the packed clause evaluation and the
   Karp–Luby coverage indicator are re-derived in pure python over the
   *same* sampled matrices and must match exactly, sample by sample,
   and the raw-word world draw matches numpy's float32 uniform draw
   cell for cell;
-* **statistical agreement** — both backends land within their 95%
-  intervals of the exact WMC probability across the paper's query zoo
-  and random instances, and the intervals cover it at their stated
-  rate;
-* **plumbing** — backend selection, clamping on the answers path, and
-  the batched circuit evaluator against its scalar counterpart.
+* **statistical agreement** — the sampler and the oracle land within
+  their 95% intervals of the exact WMC probability across the paper's
+  query zoo and random instances, and the intervals cover it at their
+  stated rate;
+* **plumbing** — clamping on the answers path, and the batched circuit
+  evaluator against its scalar counterpart.
 """
 
+import bisect
+import itertools
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.compile import compile_dnnf, compile_obdd, probability_batch
 from repro.core import parse
@@ -30,14 +32,85 @@ from repro.engines.montecarlo import (
     KarpLubySampler,
     estimate_lineage,
     naive_estimate,
-    resolve_backend,
 )
-from repro.lineage import PackedLineage, make_lineage
+from repro.lineage import PackedLineage, clause_sort_key, make_lineage
 from repro.lineage.grounding import ground_answer_lineages, ground_lineage
 from repro.lineage.wmc import exact_probability
 from repro.queries.zoo import fast_entries
 
 UNSAFE = ["R(x), S(x,y), T(y)", "R(x,y), R(y,z)", "R(x), S(x,y), S(y,x)"]
+
+
+def clause_probability(clause, weights):
+    """``P(clause)``: the product of its literals' marginals."""
+    result = 1.0
+    for key, polarity in clause:
+        result *= weights[key] if polarity else 1.0 - weights[key]
+    return result
+
+
+class ScalarKarpLuby(KarpLubySampler):
+    """The scalar Karp–Luby loop, the oracle for the batched sampler.
+
+    One trial at a time: pick a clause by bisecting the cumulative
+    clause probabilities, force it true, then draw the events of the
+    earlier clauses lazily from ``rng`` until one holds.  Clauses come
+    in the sampler's order (:func:`clause_sort_key`); the estimate and
+    interval arithmetic are the sampler's own.  The lazy draws follow
+    frozenset iteration order, so a seeded run's digits depend on
+    ``PYTHONHASHSEED``.
+    """
+
+    def __init__(self, lineage, rng):
+        self.rng = rng
+        self.hits = 0
+        self.drawn = 0
+        self.weights = lineage.weights
+        self.clauses = sorted(lineage.clauses, key=clause_sort_key)
+        self.cumulative = list(itertools.accumulate(
+            clause_probability(clause, self.weights) for clause in self.clauses
+        ))
+        self.total = self.cumulative[-1] if self.cumulative else 0.0
+
+    def extend(self, samples):
+        if self.total > 0.0:
+            for _ in range(samples):
+                self.hits += self._trial()
+        self.drawn += samples
+
+    def _trial(self):
+        """One trial: is the chosen clause the first that holds?"""
+        pick = self.rng.random() * self.total
+        chosen = min(
+            bisect.bisect_left(self.cumulative, pick), len(self.clauses) - 1
+        )
+        world = dict(self.clauses[chosen])
+        return not any(
+            self._holds(clause, world) for clause in self.clauses[:chosen]
+        )
+
+    def _holds(self, clause, world):
+        for key, polarity in clause:
+            if key not in world:
+                world[key] = self.rng.random() < self.weights[key]
+            if world[key] != polarity:
+                return False
+        return True
+
+
+def scalar_naive_estimate(lineage, samples, rng):
+    """The oracle for :func:`naive_estimate`: one world at a time."""
+    events = sorted(lineage.events(), key=str)
+    hits = 0
+    for _ in range(samples):
+        world = {
+            event: rng.random() < lineage.weights[event] for event in events
+        }
+        hits += any(
+            all(world[key] == polarity for key, polarity in clause)
+            for clause in lineage.clauses
+        )
+    return hits / samples
 
 
 def small_lineage(seed=3, domain=4):
@@ -117,7 +190,7 @@ class TestPackedStructure:
         for event, idx in packed.event_index.items():
             assert packed.weights[idx] == lineage.weights[event]
         # Clause probabilities match the scalar products.
-        scalar = KarpLubySampler(lineage, random.Random(0), "python")
+        scalar = ScalarKarpLuby(lineage, random.Random(0))
         assert packed.total == pytest.approx(scalar.total, rel=1e-12)
         for c, clause in enumerate(scalar.clauses):
             want = 1.0
@@ -226,13 +299,13 @@ class TestDrawForDrawParity:
                 )
                 assert 0 < hits < batch
                 assert naive_estimate(
-                    lineage, batch, random.Random(4), "numpy"
+                    lineage, batch, random.Random(4)
                 ) == hits / batch
 
     def test_karp_luby_coverage_indicator(self):
         lineage = many_clause_lineage()
         for batch in BATCHES:
-            sampler = KarpLubySampler(lineage, random.Random(5), "numpy")
+            sampler = KarpLubySampler(lineage, random.Random(5))
             chosen, worlds = sampler._draw_batch(batch)
             packed = sampler.packed
             assert packed.n_clauses >= 10
@@ -243,9 +316,9 @@ class TestDrawForDrawParity:
     def test_extend_equals_manual_batches(self):
         lineage = many_clause_lineage()
         for batch in BATCHES:
-            auto = KarpLubySampler(lineage, random.Random(9), "numpy")
+            auto = KarpLubySampler(lineage, random.Random(9))
             auto.extend(batch)
-            manual = KarpLubySampler(lineage, random.Random(9), "numpy")
+            manual = KarpLubySampler(lineage, random.Random(9))
             chosen, worlds = manual._draw_batch(batch)
             assert manual.packed.n_clauses >= 10
             hits = reference_hits(manual.packed, worlds, chosen)
@@ -275,9 +348,9 @@ class TestArenaKernels:
 
     def test_extend_with_arena_matches_no_arena_draws(self):
         lineage = small_lineage()
-        extended = KarpLubySampler(lineage, random.Random(21), "numpy")
+        extended = KarpLubySampler(lineage, random.Random(21))
         extended.extend(500)
-        bare = KarpLubySampler(lineage, random.Random(21), "numpy")
+        bare = KarpLubySampler(lineage, random.Random(21))
         chosen, worlds = bare._draw_batch(500)
         hits = reference_hits(bare.packed, worlds, chosen)
         assert bare.packed.coverage_hits(worlds, chosen) == hits
@@ -293,17 +366,17 @@ class TestStatisticalAgreement:
         lineage = ground_lineage(entry.query, db)
         if lineage.certainly_true or lineage.is_false:
             want = 1.0 if lineage.certainly_true else 0.0
-            for backend in ("python", "numpy"):
-                mc = MonteCarloEngine(samples=10, seed=0, backend=backend)
-                assert mc.probability(entry.query, db) == want
+            mc = MonteCarloEngine(samples=10, seed=0)
+            assert mc.probability(entry.query, db) == want
             return
         exact = exact_probability(lineage)
-        for backend in ("python", "numpy"):
-            sampler = KarpLubySampler(lineage, random.Random(13), backend)
+        for sampler_type in (ScalarKarpLuby, KarpLubySampler):
+            sampler = sampler_type(lineage, random.Random(13))
             sampler.extend(3000)
             estimate, half_width = sampler.interval()
             assert abs(estimate - exact) <= max(3 * half_width, 0.02), (
-                f"{entry.name}[{backend}]: {estimate} vs exact {exact}"
+                f"{entry.name}[{sampler_type.__name__}]: "
+                f"{estimate} vs exact {exact}"
             )
 
     @pytest.mark.parametrize("text", UNSAFE)
@@ -315,26 +388,27 @@ class TestStatisticalAgreement:
         if lineage.certainly_true or lineage.is_false:
             return
         exact = exact_probability(lineage)
-        for backend in ("python", "numpy"):
-            sampler = KarpLubySampler(lineage, random.Random(17), backend)
+        for sampler_type, naive_type in (
+            (ScalarKarpLuby, scalar_naive_estimate),
+            (KarpLubySampler, naive_estimate),
+        ):
+            sampler = sampler_type(lineage, random.Random(17))
             sampler.extend(4000)
             estimate, half_width = sampler.interval()
             assert abs(estimate - exact) <= max(3 * half_width, 0.02)
-            naive = naive_estimate(
-                lineage, 4000, random.Random(17), backend
-            )
+            naive = naive_type(lineage, 4000, random.Random(17))
             assert abs(naive - exact) <= 0.05
 
     def test_backends_agree_with_each_other(self):
         lineage = small_lineage(seed=8, domain=5)
         exact = exact_probability(lineage)
-        estimates = {
-            backend: KarpLubySampler(lineage, random.Random(3), backend)
-            for backend in ("python", "numpy")
-        }
-        for sampler in estimates.values():
+        samplers = [
+            sampler_type(lineage, random.Random(3))
+            for sampler_type in (ScalarKarpLuby, KarpLubySampler)
+        ]
+        for sampler in samplers:
             sampler.extend(20_000)
-        values = [s.estimate() for s in estimates.values()]
+        values = [s.estimate() for s in samplers]
         assert values[0] == pytest.approx(exact, abs=0.02)
         assert values[1] == pytest.approx(exact, abs=0.02)
 
@@ -352,23 +426,12 @@ class TestIntervalCalibration:
         exact = exact_probability(lineage)
         covered = 0
         for seed in range(400):
-            estimate, half_width = estimate_lineage(
-                lineage, 2_000, seed, "numpy"
-            )
+            estimate, half_width = estimate_lineage(lineage, 2_000, seed)
             covered += abs(estimate - exact) <= half_width
         assert covered >= 360, f"{text}: {covered}/400 intervals cover"
 
 
 class TestBackendPlumbing:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            MonteCarloEngine(backend="cuda")
-        with pytest.raises(ValueError):
-            resolve_backend("cuda")
-
-    def test_auto_prefers_fastest_available(self):
-        assert resolve_backend("auto") == "numpy"
-
     def test_answers_intervals_clamped(self):
         # Two independent high-probability clauses: total M = 1.8 > 1,
         # so small-sample estimates M·(hits/n) routinely exceed 1; the
@@ -379,18 +442,17 @@ class TestBackendPlumbing:
         )
         saw_overshoot = False
         for seed in range(25):
-            raw = KarpLubySampler(lineage, random.Random(seed), "python")
+            raw = ScalarKarpLuby(lineage, random.Random(seed))
             raw.extend(5)
             saw_overshoot = saw_overshoot or raw.estimate() > 1.0
         assert saw_overshoot, "test instance never overshoots; weaken it"
-        for backend in ("python", "numpy"):
-            for seed in range(25):
-                mc = MonteCarloEngine(samples=5, seed=seed, backend=backend)
-                results = mc.answers_from_lineages({("a",): lineage})
-                for _answer, value in results:
-                    assert 0.0 <= value <= 1.0
-                for estimate, _hw in mc.last_intervals.values():
-                    assert 0.0 <= estimate <= 1.0
+        for seed in range(25):
+            mc = MonteCarloEngine(samples=5, seed=seed)
+            results = mc.answers_from_lineages({("a",): lineage})
+            for _answer, value in results:
+                assert 0.0 <= value <= 1.0
+            for estimate, _hw in mc.last_intervals.values():
+                assert 0.0 <= estimate <= 1.0
 
 
 class TestBatchedCircuitEvaluation:

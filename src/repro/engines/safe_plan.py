@@ -107,7 +107,9 @@ def unsupported_reason(query: AnyQuery) -> Optional[str]:
     The hierarchy test runs on the positive part (Definition 3.9).
     Causes, most specific first: a union of CQs (safe plans cover a
     single rule), a self-join (named relation symbol), a
-    non-hierarchical variable pair (named witness).
+    non-hierarchical variable pair (named witness), a predicate that
+    is not restricted (named): Equation (3) allows a variable against a
+    constant, or two variables that occur together in one sub-goal.
     """
     if isinstance(query, UnionQuery):
         return (
@@ -131,6 +133,16 @@ def unsupported_reason(query: AnyQuery) -> Optional[str]:
             else "no hierarchy between variable sub-goal sets"
         )
         return f"non-hierarchical: {detail}, hence #P-hard (Theorem 1.4)"
+    for predicate in query.predicates:
+        variables = set(predicate.variables)
+        if len(variables) == 2 and not any(
+            variables <= set(atom.variables) for atom in query.atoms
+        ):
+            return (
+                f"unrestricted predicate {predicate}: its variables share "
+                f"no sub-goal (Equation (3) needs a variable against a "
+                f"constant, or two variables of one sub-goal)"
+            )
     return None
 
 
@@ -197,7 +209,12 @@ def _answers_evaluate(
         probability = 1.0 if _ground_predicates_hold(query.predicates) else 0.0
         return {(): probability} if probability else {}
     total: Dict[Valuation, float] = {(): 1.0}
-    for component in query.connected_components():
+    components = query.connected_components()
+    if any(_straddles(component) for component in components):
+        # A predicate ties a head variable to another component; it is
+        # restricted once the head is bound, so group by the head first.
+        components = [query]
+    for component in components:
         component_heads = head_vars & set(component.variables)
         if not component_heads:
             if not component.variables:
@@ -213,6 +230,13 @@ def _answers_evaluate(
                 return {}
         total = _join_valuations(total, component_map)
     return total
+
+
+def _straddles(component: ConjunctiveQuery) -> bool:
+    """Whether a predicate of ``component`` names a variable of
+    another component (one none of its sub-goals has)."""
+    bound = {v for atom in component.atoms for v in atom.variables}
+    return not bound.issuperset(component.variables)
 
 
 def _component_answers(

@@ -9,7 +9,12 @@ traffic.  The moving parts:
   same worker and that worker's prepared-query LRU and structural
   circuit cache stay hot.  Sharding also multiplies aggregate cache
   capacity: each worker only has to hold its own slice of the shape
-  universe, where a single session would thrash its LRU.
+  universe, where a single session would thrash its LRU.  The front
+  reads a text's shape from a per-process memo
+  (:func:`~repro.serve.session.parsed_shape`) outside the pool lock,
+  and queues the text itself, not the parsed query: a short string
+  pickles in a fraction of the time, and the worker's own memo parses
+  it once per process.
 
 * **Dispatch at admission.**  The lock hold that admits a call also
   queues it: each shard gets at most one ``evaluate_many`` and one
@@ -83,15 +88,13 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..core.parser import parse
-from ..core.query import ConjunctiveQuery, canonical_string
-from ..core.union import AnyQuery, UnionQuery
+from ..core.parser import parse  # unused here; perfbench/tracing.py patches it by name
 from ..db.database import ProbabilisticDatabase
 from ..db.relation import Probability, Value
 from ..engines.base import Answer
 from ..obs.metrics import Ewma, MetricsRegistry, merge_snapshots
 from .faults import build_injector
-from .session import QueryLike, QuerySession, SessionStats
+from .session import QueryLike, QuerySession, SessionStats, query_and_shape
 
 __all__ = [
     "PoolOverloadError",
@@ -977,15 +980,17 @@ class ServerPool:
     # Admission and dispatch
     # ------------------------------------------------------------------
 
-    def _parse(self, query: QueryLike) -> AnyQuery:
-        if isinstance(query, str):
-            return parse(query)
-        if not isinstance(query, (ConjunctiveQuery, UnionQuery)):
-            raise TypeError(
-                f"expected query text, ConjunctiveQuery or UnionQuery, "
-                f"got {query!r}"
-            )
-        return query
+    def _home_shard(self, kind: str, query: QueryLike) -> Optional[int]:
+        """The shard that owns ``query``'s shape (None with no workers).
+
+        Runs outside the pool lock.  Text is parsed and canonicalized
+        through the session module's per-process memo, so a repeated
+        text costs a lookup, and bad input raises here, before the call
+        is admitted.  Only the shard is kept: the text itself is what
+        the worker gets.
+        """
+        _query, shape = query_and_shape(query, kind == "evaluate")
+        return shard_of(shape, self.workers) if self.workers else None
 
     def _request_many(
         self,
@@ -1002,28 +1007,23 @@ class ServerPool:
         shard (every item when ``workers == 0``, or one whose shard is
         degraded) are served on the front session.
         """
-        parsed = [
-            (kind, self._parse(query), k) for kind, query, k in items
+        homed = [
+            (kind, query, k, self._home_shard(kind, query))
+            for kind, query, k in items
         ]
         deadline = time.time() + timeout if timeout is not None else None
         futures: List[Future] = []
-        front: List[Tuple[str, AnyQuery, Optional[int], Future]] = []
+        front: List[Tuple[str, QueryLike, Optional[int], Future]] = []
         messages: Dict[Tuple[int, str], _Inflight] = {}
         with self._lock:
             self._check_open()
             self._ensure_synced_locked()
             self._check_overload_locked()
-            for kind, query, k in parsed:
+            for kind, query, k, shard in homed:
                 future = Future()
                 futures.append(future)
-                shard = None
-                if self.workers:
-                    shape = canonical_string(
-                        query.boolean() if kind == "evaluate" else query
-                    )
-                    shard = shard_of(shape, self.workers)
-                    if self._degraded[shard]:
-                        shard = None
+                if shard is not None and self._degraded[shard]:
+                    shard = None
                 if (
                     shard is not None
                     and self.max_queue_depth is not None
@@ -1083,7 +1083,7 @@ class ServerPool:
             return self._front
 
     def _serve_front(
-        self, kind: str, query: AnyQuery, k: Optional[int],
+        self, kind: str, query: QueryLike, k: Optional[int],
         future: Future,
     ) -> None:
         """Answer one request on the front session."""

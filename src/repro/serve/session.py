@@ -7,10 +7,11 @@ re-derive everything — classification, safe plan, grounding, circuit —
 on every call; a :class:`QuerySession` is the layer that amortizes that
 work *across* calls:
 
-* **Prepared queries.**  Parsing, safety classification and tier
-  choice happen once per canonical query shape (variable renamings
-  collapse onto one entry) and live in an LRU of
-  :class:`PreparedQuery` records.
+* **Prepared queries.**  Parsing and canonicalization happen once per
+  query text and kind (a per-process memo, :func:`parsed_shape`);
+  safety classification and tier choice happen once per canonical
+  query shape (variable renamings collapse onto one entry) and live
+  in an LRU of :class:`PreparedQuery` records.
 
 * **Precise invalidation.**  The database is observably mutable
   (:attr:`~repro.db.relation.Relation.version` /
@@ -44,6 +45,7 @@ float-epsilon, which the invalidation-matrix suite in
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, fields
@@ -80,6 +82,40 @@ QueryLike = Union[str, ConjunctiveQuery, UnionQuery]
 #: Distinguishes "keyword not given" from every meaningful value
 #: (``compile_budget=None`` and ``mc_seed=None`` are both legitimate).
 _UNSET = object()
+
+
+@functools.lru_cache(maxsize=256)  # the default prepared-LRU size
+def parsed_shape(text: str, boolean: bool) -> Tuple[AnyQuery, str]:
+    """``text`` parsed (its Boolean closure when ``boolean``) and that
+    query's canonical shape, memoized per process.
+
+    The pool front and every session in the process read this one
+    memo, so a repeated text is parsed and canonicalized once.  Parsing
+    is pure and parsed queries are immutable, so no entry goes stale;
+    a text that fails to parse raises and is never stored.
+    """
+    return query_and_shape(parse(text), boolean)
+
+
+def query_and_shape(query: QueryLike, boolean: bool) -> Tuple[AnyQuery, str]:
+    """The query to serve (its Boolean closure when ``boolean``) and
+    its canonical shape; text goes through :func:`parsed_shape`.
+
+    Raises:
+        QueryParseError: unparsable text.
+        TypeError: neither text nor a parsed query.
+    """
+    if isinstance(query, str):
+        return parsed_shape(query, boolean)
+    if not isinstance(query, (ConjunctiveQuery, UnionQuery)):
+        raise TypeError(
+            f"expected query text, ConjunctiveQuery or UnionQuery, "
+            f"got {query!r}"
+        )
+    if boolean:
+        query = query.boolean()
+    return query, canonical_string(query)
+
 
 #: One compiled group of a prepared answer query: the shared artifact,
 #: its canonical event order, and per-answer source events (original
@@ -381,8 +417,9 @@ class QuerySession:
     def prepare(self, query: QueryLike) -> PreparedQuery:
         """Parse / classify / plan once, keyed by canonical shape.
 
-        Accepts query text or a parsed query; isomorphic queries
-        (variable renamings) collapse onto one prepared entry.
+        Accepts query text (parsed through :func:`parsed_shape`) or a
+        parsed query; isomorphic queries (variable renamings) collapse
+        onto one prepared entry.
 
         For unsafe tiers the grounding plan is warmed here as well:
         each disjunct is planned against the current database and the
@@ -400,9 +437,11 @@ class QuerySession:
             GroundingError: the query is not range-restricted, or an
                 atom's arity differs from its stored relation's.
         """
-        query = self._parse(query)
+        return self._prepare(*query_and_shape(query, False))
+
+    def _prepare(self, query: AnyQuery, shape: str) -> PreparedQuery:
+        """:meth:`prepare` of a parsed query whose shape is known."""
         check_arities(query, self.db)
-        shape = canonical_string(query)
         prepared = self._prepared.get(shape)
         if prepared is not None:
             self._prepared.move_to_end(shape)
@@ -480,7 +519,7 @@ class QuerySession:
         to a shared batched sweep.
         """
         rankings = self._rank_many(
-            [self._parse(query).boolean() for query in queries], "evaluate"
+            [query_and_shape(query, True) for query in queries], "evaluate"
         )
         return [ranking[0][1] if ranking else 0.0 for ranking in rankings]
 
@@ -507,19 +546,22 @@ class QuerySession:
         # cache, and callers are free to mutate theirs.
         return [
             list(ranked) if k is None else ranked[:k]
-            for ranked in self._rank_many(queries, "answers")
+            for ranked in self._rank_many(
+                [query_and_shape(query, False) for query in queries],
+                "answers",
+            )
         ]
 
     def _rank_many(
-        self, queries: Sequence[QueryLike], kind: str
+        self, queries: Sequence[Tuple[AnyQuery, str]], kind: str
     ) -> List[List[Answer]]:
-        """The full cached ranking of every query, in order; ``kind``
-        names the spans and the per-query timer."""
+        """The full cached ranking of every (query, shape), in order;
+        ``kind`` names the spans and the per-query timer."""
         unique: List[PreparedQuery] = []
         slot_of: Dict[str, int] = {}
         slots: List[int] = []
-        for query in queries:
-            prepared = self.prepare(query)
+        for query, shape in queries:
+            prepared = self._prepare(query, shape)
             if prepared.shape not in slot_of:
                 slot_of[prepared.shape] = len(unique)
                 unique.append(prepared)
@@ -693,16 +735,6 @@ class QuerySession:
                 "tier": prepared.tier,
                 "seconds": seconds,
             })
-
-    def _parse(self, query: QueryLike) -> AnyQuery:
-        if isinstance(query, str):
-            return parse(query)
-        if not isinstance(query, (ConjunctiveQuery, UnionQuery)):
-            raise TypeError(
-                f"expected query text, ConjunctiveQuery or UnionQuery, "
-                f"got {query!r}"
-            )
-        return query
 
     def _store(
         self,

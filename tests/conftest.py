@@ -32,3 +32,25 @@ def engines():
         "lifted": LiftedEngine(),
         "plan": SafePlanEngine(),
     }
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Texts handed to ``parse`` by the serving layer's text memo.
+
+    The memo (:func:`repro.serve.session.parsed_shape`) starts empty,
+    and ``parse`` is swapped for a recording wrapper where the memo
+    looks it up.
+    """
+    from repro.serve import session
+
+    session.parsed_shape.cache_clear()
+    calls = []
+    real = session.parse
+
+    def recording(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(session, "parse", recording)
+    return calls

@@ -8,7 +8,11 @@ must match wherever their preconditions hold.
 import pytest
 
 from repro.core import parse
-from repro.db import random_database_for_query
+from repro.db import (
+    ProbabilisticDatabase,
+    random_database,
+    random_database_for_query,
+)
 from repro.engines import (
     BruteForceEngine,
     CompiledEngine,
@@ -20,6 +24,7 @@ from repro.engines import (
 from repro.lineage.grounding import ground_lineage
 from repro.lineage.wmc import exact_probability
 from repro.queries import zoo
+from repro.serve import QuerySession
 
 brute = BruteForceEngine()
 lineage = LineageEngine()
@@ -44,6 +49,25 @@ UNSAFE = [
     "R(x), S(x,y), S(y,x)",
     "R(x), S(x,y), S(xp,yp), T(yp)",
 ]
+
+_UNARY_PAIR = random_database({"R": 1, "U": 1}, domain_size=3, density=0.7, seed=1)
+_THREE_WAY = ProbabilisticDatabase.from_dict({
+    "R": {(1,): 0.5, (2,): 0.7},
+    "S": {(1, 5): 0.4, (1, 9): 0.6, (2, 5): 0.3},
+    "T": {(1, 7): 0.8, (2, 3): 0.9},
+})
+#: Predicates over two variables that share no sub-goal, each on an
+#: instance where dropping the predicate changes the value.  Equation
+#: (3) allows only restricted predicates (a variable against a
+#: constant, or two variables of one sub-goal), so the safe plan must
+#: refuse these and the router fall through to the grounding tiers.
+UNRESTRICTED = {
+    "R(x), U(y), x < y": _UNARY_PAIR,
+    "R(x), U(y), x = y": _UNARY_PAIR,
+    "R(x), U(y), x != y": _UNARY_PAIR,
+    "R(x), S(x,y), T(x,z), y < z": _THREE_WAY,
+    "Q(x) :- R(x), S(x,y), T(x,z), y < z": _THREE_WAY,
+}
 
 
 @pytest.mark.parametrize("text", SAFE_NO_SELFJOIN)
@@ -88,15 +112,36 @@ def test_unsafe_oracle_vs_bruteforce(text):
     )
 
 
-@pytest.mark.parametrize("text", SAFE_NO_SELFJOIN + SAFE_SELFJOIN + UNSAFE)
+@pytest.mark.parametrize(
+    "text", SAFE_NO_SELFJOIN + SAFE_SELFJOIN + UNSAFE + list(UNRESTRICTED)
+)
 def test_router_always_close_to_oracle(text):
     q = parse(text)
-    db = random_database_for_query(q, 3, density=0.5, seed=9)
+    if text in UNRESTRICTED:
+        db = UNRESTRICTED[text]
+    else:
+        db = random_database_for_query(q, 3, density=0.5, seed=9)
     router = RouterEngine(mc_samples=40_000, mc_seed=5)
     p_router = router.probability(q, db)
     p_exact = lineage.probability(q, db)
     tolerance = 1e-9 if router.history[-1].safe else 0.05
     assert p_router == pytest.approx(p_exact, abs=tolerance)
+
+
+@pytest.mark.parametrize("text, db", [
+    pytest.param(text, db, id=text) for text, db in [
+        ("Q(x) :- R(x), S(x,y), T(x,z), y < z", _THREE_WAY),
+        # Restricted once x is bound: the safe plan serves it, grouping
+        # by x before it splits R(x) from U(y).
+        ("Q(x) :- R(x), U(y), x < y", _UNARY_PAIR),
+    ]
+])
+def test_session_answers_honour_predicates_across_sub_goals(text, db):
+    got = QuerySession(db).answers(text)
+    want = brute.answers(parse(text), db)
+    assert [answer for answer, _ in got] == [answer for answer, _ in want]
+    for (_, p_got), (_, p_want) in zip(got, want):
+        assert p_got == pytest.approx(p_want, abs=1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -103,6 +103,16 @@ class TestInlinePool:
             assert stats.requests == 2
             assert "1 workers" in stats.describe()
 
+    def test_a_text_is_parsed_once_per_kind(self, parse_calls):
+        # With no shards to pick, the front still parses (bad input
+        # raises before admission); its session reads the same memo.
+        text = "Q(x) :- R(x), S(x,y), T(y)"
+        with ServerPool(small_db(), workers=0, config=EXACT) as pool:
+            for _ in range(3):
+                pool.evaluate(text)
+                pool.answers(text)
+        assert parse_calls == [text, text]
+
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError):
             ServerPool(small_db(), workers=-1)
@@ -150,6 +160,22 @@ class TestMultiprocessPool:
         assert mp_pool.answers(text) == router.answers(parse(text), db)
         # k truncation happens at the worker
         assert mp_pool.answers(text, 1) == router.answers(parse(text), db, 1)
+
+    def test_text_reads_match_router(self, mp_pool, parse_calls):
+        # Workers get the text; the front parses each (text, kind) once
+        # to pick its shard.
+        db = small_db()
+        router = RouterEngine(exact_fallback=True)
+        texts = ["R(x), S(x,y), T(y)", "Q(x) :- R(x), S(x,y), T(y)"]
+        for _ in range(3):
+            for text in texts:
+                assert mp_pool.evaluate(text) == pytest.approx(
+                    router.probability(parse(text), db), abs=1e-9
+                )
+                assert mp_pool.answers(text) == router.answers(
+                    parse(text), db
+                )
+        assert sorted(parse_calls) == sorted(texts * 2)
 
     def test_worker_error_propagates(self, mp_pool):
         # The query fails to ground inside its worker.  A ValueError is

@@ -11,17 +11,22 @@ cross-query batching of same-shape circuits.
 
 import json
 import re
+import sys
+import threading
 
 import pytest
 
 from repro.cli import main
 from repro.core import parse
+from repro.core.parser import QueryParseError
+from repro.core.query import canonical_string
 from repro.db import ProbabilisticDatabase, random_database_for_query
 from repro.engines import RouterEngine
 from repro.lineage.wmc import exact_probability
 from repro.lineage.grounding import ground_lineage
 from repro.lineage.planner import GroundingError
 from repro.serve import QuerySession
+from repro.serve.session import parsed_shape
 
 #: The query zoo for the matrix: every routing tier is represented
 #: (hierarchical safe plans, safe self-joins, #P-hard residuals).
@@ -208,6 +213,77 @@ def test_isomorphic_queries_share_a_prepared_entry():
     session.evaluate("R(a), S(a,b)")  # renaming of the same query
     assert session.stats.prepared == 1
     assert session.stats.prepare_hits >= 1
+
+
+def test_a_text_is_parsed_once_per_kind(parse_calls):
+    text = "Q(x) :- R(x), S(x,y)"
+    db = random_database_for_query(parse(text), 3, density=0.7, seed=2)
+    session = QuerySession(db, exact_fallback=True)
+    for _ in range(3):
+        session.evaluate(text)
+        session.answers(text)
+        session.evaluate_many([text, text])
+    # The memo is per process: another session reads it too.
+    QuerySession(db, exact_fallback=True).evaluate(text)
+    assert parse_calls == [text, text]
+
+
+def test_unparsable_text_is_never_memoized(parse_calls):
+    session = QuerySession(ProbabilisticDatabase.from_dict({"R": {(1,): 0.5}}))
+    for _ in range(2):
+        with pytest.raises(QueryParseError):
+            session.evaluate("R(x")
+        with pytest.raises(QueryParseError):
+            session.answers("R(x")
+    assert parse_calls == ["R(x"] * 4
+    assert parsed_shape.cache_info().currsize == 0
+    with pytest.raises(TypeError):
+        session.evaluate(42)
+
+
+def test_evaluate_and_answers_of_one_text_keep_separate_shapes(parse_calls):
+    text = "Q(x) :- R(x), S(x,y), T(y)"
+    query = parse(text)
+    db = random_database_for_query(query, 3, density=0.7, seed=5)
+    session = QuerySession(db, exact_fallback=True)
+    for _ in range(2):
+        assert session.evaluate(text) == pytest.approx(
+            fresh_probability(query, db), abs=1e-9
+        )
+        assert_same_ranking(session.answers(text), fresh_answers(query, db))
+    assert session.stats.prepared == 2
+    assert parsed_shape(text, True)[1] != parsed_shape(text, False)[1]
+
+
+def test_the_text_memo_under_concurrent_eviction(parse_calls):
+    # More distinct texts than the memo holds, read from more threads
+    # than cores with a short switch interval: every read still gets
+    # the query of its own text.
+    texts = [f"R{i}(x), S{i}(x,y)" for i in range(300)]
+    want = {text: canonical_string(parse(text)) for text in texts}
+    errors = []
+
+    def reader(offset):
+        for index in range(len(texts)):
+            text = texts[(index + offset) % len(texts)]
+            if parsed_shape(text, False)[1] != want[text]:
+                errors.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=reader, args=(37 * n,)) for n in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert parsed_shape.cache_info().currsize == 256
 
 
 def test_prepared_cache_is_an_lru():
